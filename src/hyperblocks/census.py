@@ -1,16 +1,18 @@
 """Sweeps over all block subsets of a partition.
 
-Subsets are visited in Gray-code order so each step flips one block in
-or out; the pi row masks and row weights are maintained incrementally.
-For a union of blocks the column weights mirror the row weights (column
-y weighs what row -y weighs), so the ample screen is just
-2 * min(row weight) > r.
+Subsets are visited in Gray-code order, a numpy chunk at a time.  For a
+union of blocks the column weights mirror the row weights (column y
+weighs what row -y weighs), so the ample screen is just
+2 * min(row weight) > r.  Every batch verification (the full-mode census
+and verify_all_subsets) runs one compiled, bit-sliced axiom circuit over
+the block bits (AxiomCircuit); verify_axioms is left to single candidates.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -20,14 +22,15 @@ from .groups import AbelianGroup
 from .hyperfields import (
     AXIOM_ORDER,
     STATUS_CERTIFIED,
+    STATUS_VERIFIED,
     HyperfieldCandidate,
-    verify_axioms,
 )
 
 MODE_FULL = "full"
 MODE_AMPLE_ONLY = "ample-only"
 
 SUBSET_BUDGET_BITS = 30
+CHUNK_BITS = 14  # masks per numpy chunk, as bits; bounds the kernel's working memory
 
 
 def automorphisms_fixing(group: AbelianGroup, minus_one: int) -> list[tuple[int, ...]]:
@@ -93,64 +96,167 @@ class Census:
         )
 
 
-def _block_effects(bp: BlockPartition) -> list[list[tuple[int, int, int]]]:
-    """Per block: (row index, y bitmask, pair count) for each touched row."""
-    r = bp.r
-    effects = []
-    for block in bp.blocks:
-        per_row: dict[int, list[int]] = {}
-        for code in block:
-            per_row.setdefault(code // r, []).append(code % r)
-        effects.append(
-            [(x, sum(1 << y for y in ys), len(ys)) for x, ys in sorted(per_row.items())]
-        )
-    return effects
+class AxiomCircuit:
+    """The axioms of verify_axioms as one Boolean circuit, evaluated bit-sliced.
 
-
-def iter_subsets(
-    bp: BlockPartition, span: tuple[int, int] | None = None
-) -> Iterator[tuple[int, list[int], int]]:
-    """Yield (subset mask, pi row masks, min row weight) in Gray-code order.
-
-    The row list is reused between steps; snapshot it before keeping it.
-    span selects a half-open range of sequence positions for sharding.
+    Variable var_of[x * r + y] stands for the pi bit (x, y): the pair code
+    for an arbitrary relation, the block index for a union of blocks.  A
+    nonzero w is in x + y exactly when pi(y^-1 x, y^-1 w) holds; whether 0
+    is in x + y, and every sum with a zero operand, are constants.  Each
+    axiom compiles to implications L -> R between ORs of terms, a term
+    being the AND of at most two variables.  Implications that hold as
+    written (every term of L is in R, or R is constantly true) are dropped:
+    distributivity and unique negatives for every relation, commutativity
+    and reversibility for unions of blocks.  Evaluation is bit-sliced
+    (Biham, FSE 1997): a uint64 word holds one variable of 64 candidates.
     """
-    b = bp.b
-    lo, hi = span if span is not None else (0, 1 << b)
-    effects = _block_effects(bp)
+
+    def __init__(self, group: AbelianGroup, minus_one: int, var_of: Sequence[int]):
+        r = group.order
+        zero = r
+        elements = range(r + 1)
+        mul, inv = group.mul, group.inv
+        # registers: variables 0..t-1, constant true t, constant false t + 1, pair ANDs
+        t = self.nvars = max(var_of, default=-1) + 1
+        n = t + 1
+        true = frozenset([t * n + t])  # a side is a set of terms u * n + v, u <= v
+
+        # add[x][y]: (e, register) for each e that is in x + y when the register is true
+        add = [[[(y if x == zero else x, t)] for y in elements] for x in elements]
+        for x in range(r):
+            for y in range(r):
+                yi = inv(y)
+                row = mul(yi, x) * r
+                add[x][y] = [(e, var_of[row + mul(yi, e)]) for e in range(r)]
+                if x == mul(minus_one, y):
+                    add[x][y].append((zero, t))
+
+        def union(parts) -> list[frozenset[int]]:
+            """Per element, the side for its membership in a union of (condition, sum)."""
+            out: list[set[int]] = [set() for _ in elements]
+            for c, entries in parts:
+                for e, v in entries:
+                    out[e].add(c * n + v if c <= v else v * n + c)
+            return [true if true <= terms else frozenset(terms) for terms in out]
+
+        def eq(a, b):
+            return [(a[e], b[e]) for e in elements] + [(b[e], a[e]) for e in elements]
+
+        def every(check):
+            """The clauses of check(x, z) over all nonzero x and z."""
+            return [c for x in range(r) for z in range(r) for c in check(x, z)]
+
+        sums = [[union([(t, add[x][y])]) for y in elements] for x in elements]
+        axioms = [
+            # nonempty sums: z + 1 has a member
+            [(true, frozenset().union(*sums[z][0])) for z in range(r)],
+            # commutativity: z + 1 = 1 + z
+            [c for z in range(r) for c in eq(sums[z][0], sums[0][z])],
+            # associativity: (x + 1) + z = x + (1 + z)
+            every(
+                lambda x, z: eq(
+                    union((c, add[w][z]) for w, c in add[x][0]),
+                    union((c, add[x][u]) for u, c in add[0][z]),
+                )
+            ),
+            # distributivity: a(z + 1) = az + a
+            every(
+                lambda a, z: eq(
+                    [sums[z][0][e if e == zero else mul(inv(a), e)] for e in elements],
+                    sums[mul(a, z)][a],
+                )
+            ),
+            # unique negatives: 0 in x + y is a constant, so this is decided here
+            [(true, frozenset()) for x in elements if [s[zero] for s in sums[x]].count(true) != 1],
+            # reversibility: x in 1 + z implies z in x + (-1)
+            every(lambda x, z: [(sums[0][z][x], sums[x][minus_one][z])]),
+        ]
+
+        sides: dict[frozenset[int], int] = {}
+        pairs: dict[int, int] = {}
+
+        def register(term: int) -> int:
+            u, v = divmod(term, n)
+            return u if v == t else pairs.setdefault(term, t + 2 + len(pairs))
+
+        self.clauses = []
+        for clauses in axioms:
+            kept = list({(a, b) for a, b in clauses if not (a <= b or true <= b)})
+            ids = [[sides.setdefault(side, len(sides)) for side in c] for c in kept]
+            self.clauses.append(np.array(ids, dtype=np.intp).reshape(-1, 2).T)
+        terms = [[register(term) for term in sorted(side)] or [t + 1] for side in sides]
+        self.side_terms = np.array([i for ts in terms for i in ts], dtype=np.intp)
+        self.side_starts = np.cumsum([0] + [len(ts) for ts in terms], dtype=np.intp)[:-1]
+        self.pair_regs = np.array([divmod(p, n) for p in pairs], dtype=np.intp).reshape(-1, 2).T
+
+    def failures(self, bits: np.ndarray) -> np.ndarray:
+        """First failing axiom of each candidate, bits[i] holding variable i of every candidate.
+
+        Returns booleans of shape (len(AXIOM_ORDER), n); [i, k] is set when
+        AXIOM_ORDER[i] is the first axiom candidate k fails.
+        """
+        n = bits.shape[1]
+        words = np.packbits(np.pad(bits, ((0, 0), (0, -n % 64))), axis=1, bitorder="little")
+        words = words.view("<u8")
+        ones = np.full((1, words.shape[1]), ~np.uint64(0), dtype=words.dtype)
+        pair_ands = words[self.pair_regs[0]] & words[self.pair_regs[1]]
+        regs = np.concatenate([words, ones, ~ones, pair_ands])
+        sides = np.bitwise_or.reduceat(regs[self.side_terms], self.side_starts, axis=0)
+        first = np.zeros((len(self.clauses), words.shape[1]), dtype=words.dtype)
+        seen = first[0].copy()
+        for row, (lhs, rhs) in zip(first, self.clauses):
+            row |= np.bitwise_or.reduce(sides[lhs] & ~sides[rhs], axis=0) & ~seen
+            seen |= row
+        bools = np.unpackbits(first.view(np.uint8), axis=1, bitorder="little")
+        return bools[:, :n].astype(bool)
+
+
+def _row_sums(bp: BlockPartition, bits: np.ndarray, masks: bool) -> np.ndarray:
+    """Per pi row and subset: the row's y bitmask if masks, else its weight."""
     r = bp.r
-    rows = [0] * r
-    counts = [0] * r
-    mask = lo ^ (lo >> 1)
-    m = mask
-    while m:
-        low = m & -m
-        for x, ymask, n in effects[low.bit_length() - 1]:
-            rows[x] ^= ymask
-            counts[x] += n
-        m ^= low
-    yield mask, rows, min(counts)
-    for t in range(lo + 1, hi):
-        i = (t & -t).bit_length() - 1
-        bit = 1 << i
-        mask ^= bit
-        sign = 1 if mask & bit else -1
-        for x, ymask, n in effects[i]:
-            rows[x] ^= ymask
-            counts[x] += sign * n
-        yield mask, rows, min(counts)
+    out = np.zeros((r, bits.shape[1]), dtype=np.int64 if masks else np.int16)
+    for i, block in enumerate(bp.blocks):
+        for code in block:
+            out[code // r] += bits[i] * np.int64(1 << code % r) if masks else bits[i]
+    return out
+
+
+def _chunks(
+    bp: BlockPartition, span: tuple[int, int] | None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(masks t ^ (t >> 1), block bits as 0/1 rows, ample screen) per chunk of positions t."""
+    lo, hi = span if span is not None else (0, 1 << bp.b)
+    for start in range(lo, hi, 1 << CHUNK_BITS):
+        t = np.arange(start, min(start + (1 << CHUNK_BITS), hi), dtype=np.uint64)
+        masks = t ^ (t >> np.uint64(1))
+        octets = masks.astype("<u8").view(np.uint8).reshape(-1, 8)[:, : -(-bp.b // 8)]
+        bits = np.unpackbits(octets, axis=1, bitorder="little")[:, : bp.b].T.copy()
+        yield masks, bits, 2 * _row_sums(bp, bits, False).min(axis=0) > bp.r
+
+
+def _survivors(
+    bp: BlockPartition, mode: str, span: tuple[int, int] | None
+) -> Iterator[tuple[int, HyperfieldCandidate, bool]]:
+    """Stream (subset mask, candidate, ample) for the kept subsets, in Gray-code order.
+
+    Full mode keeps those passing the axiom kernel, ample-only mode those
+    passing the ample screen.
+    """
+    if mode == MODE_FULL:
+        circuit = AxiomCircuit(bp.group, bp.minus_one, bp.pair_to_block)
+    status = STATUS_VERIFIED if mode == MODE_FULL else STATUS_CERTIFIED
+    for masks, bits, ample in _chunks(bp, span):
+        keep = ~circuit.failures(bits).any(axis=0) if mode == MODE_FULL else ample
+        rows = _row_sums(bp, bits[:, keep], True).T.tolist()
+        for mask, row, is_ample in zip(masks[keep].tolist(), rows, ample[keep].tolist()):
+            yield mask, HyperfieldCandidate(bp.group, bp.minus_one, tuple(row), status), is_ample
 
 
 def certified_candidates(
     bp: BlockPartition, span: tuple[int, int] | None = None
 ) -> Iterator[tuple[int, HyperfieldCandidate]]:
     """Stream (subset mask, candidate) for every subset passing the ample screen."""
-    r = bp.r
-    for mask, rows, m in iter_subsets(bp, span):
-        if 2 * m > r:
-            h = HyperfieldCandidate(bp.group, bp.minus_one, tuple(rows))
-            h.status = STATUS_CERTIFIED
-            yield mask, h
+    return ((mask, h) for mask, h, _ in _survivors(bp, MODE_AMPLE_ONLY, span))
 
 
 def enumerate_subsets(
@@ -161,53 +267,31 @@ def enumerate_subsets(
 ) -> Census:
     """Census of all 2^b block subsets for one (group, -1).
 
-    mode "full" runs verify_axioms on every subset; mode "ample-only"
-    keeps exactly the subsets whose pi satisfies the margin screen and
-    certifies them without triple checks.
+    mode "full" keeps the subsets that pass every axiom, judged a chunk at
+    a time by the axiom kernel, and canonicalizes only those; mode
+    "ample-only" keeps exactly the subsets whose pi satisfies the margin
+    screen and certifies them without triple checks.  span selects a
+    half-open range of Gray-code positions for sharding.
     """
     if mode not in (MODE_FULL, MODE_AMPLE_ONLY):
         raise ValueError(f"unknown census mode {mode!r}")
     if bp.b > budget_bits:
         raise CapacityError(f"2^{bp.b} subsets exceeds the 2^{budget_bits} budget")
     autos = automorphisms_fixing(bp.group, bp.minus_one)
-    r = bp.r
-    found = 0
-    ample_found = 0
+    lo, hi = span if span is not None else (0, 1 << bp.b)
+    found = ample_found = 0
     classes: dict[str, list[int]] = {}  # canonical pi -> [members, min subset, ample]
-
-    def record(mask: int, h: HyperfieldCandidate, ample: bool) -> None:
-        key = canonical_form(h, autos)
-        slot = classes.get(key)
-        if slot is None:
-            classes[key] = [1, mask, ample]
-        else:
-            slot[0] += 1
-            slot[1] = min(slot[1], mask)
-
-    examined = 0
-    for mask, rows, m in iter_subsets(bp, span):
-        examined += 1
-        ample = 2 * m > r
-        if mode == MODE_AMPLE_ONLY:
-            if not ample:
-                continue
-            h = HyperfieldCandidate(bp.group, bp.minus_one, tuple(rows))
-            h.status = STATUS_CERTIFIED
-            found += 1
-            ample_found += 1
-            record(mask, h, True)
-        else:
-            h = HyperfieldCandidate(bp.group, bp.minus_one, tuple(rows))
-            if verify_axioms(h):
-                found += 1
-                if ample:
-                    ample_found += 1
-                record(mask, h, ample)
+    for mask, h, ample in _survivors(bp, mode, span):
+        found += 1
+        ample_found += ample
+        slot = classes.setdefault(canonical_form(h, autos), [0, mask, ample])
+        slot[0] += 1
+        slot[1] = min(slot[1], mask)
     return Census(
         bp.group,
         bp.minus_one,
         mode,
-        examined,
+        hi - lo,
         found,
         ample_found,
         tuple(
@@ -254,11 +338,17 @@ def enumerate_sharded(
     budget_bits: int = SUBSET_BUDGET_BITS,
     threads: int = 1,
 ) -> Census:
-    """Full-range census split into `threads` contiguous shards and merged."""
-    if threads <= 1:
-        return enumerate_subsets(bp, mode, budget_bits)
+    """Full-range census split into contiguous shards, one per worker thread, and merged.
+
+    The worker count is capped at os.cpu_count() and at 2^b; the census is
+    the same for any count.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     total = 1 << bp.b
-    n = min(threads, total)
+    n = min(threads, os.cpu_count() or 1, total)
+    if n == 1:
+        return enumerate_subsets(bp, mode, budget_bits)
     bounds = [(total * i // n, total * (i + 1) // n) for i in range(n)]
     with ThreadPoolExecutor(max_workers=n) as pool:
         parts = list(
@@ -285,126 +375,34 @@ class SweepReport:
         return self.failure_counts.get("reversibility", 0)
 
 
-SWEEP_ORDER_CAP = 14  # set masks must fit in uint16 lanes
-
-
-def _translate_tables(bp: BlockPartition) -> np.ndarray:
-    """perm[y][s] = the set mask s multiplied elementwise by y, zero fixed."""
-    r = bp.r
-    size = 1 << (r + 1)
-    perm = np.zeros((r, size), dtype=np.uint16)
-    for y in range(r):
-        row = bp.group.mul_row(y)
-        images = [np.uint16(1 << row[x]) for x in range(r)] + [np.uint16(1 << r)]
-        t = perm[y]
-        for j in range(r + 1):
-            t[1 << j : 2 << j] = t[: 1 << j] | images[j]
-    return perm
-
-
 def verify_all_subsets(
-    bp: BlockPartition,
-    budget_bits: int = SUBSET_BUDGET_BITS,
-    chunk_bits: int = 16,
+    bp: BlockPartition, budget_bits: int = SUBSET_BUDGET_BITS
 ) -> SweepReport:
-    """Run the axiom checks on all 2^b block subsets at once, chunked over numpy.
+    """Tally the axiom verdicts of all 2^b block subsets through the axiom kernel.
 
     Matches verify_axioms exactly: same checks, same first-failure order,
     reversibility last.  Only the verdict tallies are kept, which makes
     sweeps feasible at sizes where building one candidate at a time is not.
     """
-    r, b = bp.r, bp.b
-    if r > SWEEP_ORDER_CAP:
-        raise CapacityError(f"subset sweep needs order <= {SWEEP_ORDER_CAP}, got {r}")
-    if b > budget_bits:
-        raise CapacityError(f"2^{b} subsets exceeds the 2^{budget_bits} budget")
-    minus = bp.minus_one
-    group = bp.group
-    zero_bit = np.uint16(1 << r)
-
-    # per-block row contributions; blocks are disjoint so sums never carry
-    effect = np.zeros((b, r), dtype=np.uint16)
-    for i, block in enumerate(bp.blocks):
-        for code in block:
-            effect[i, code // r] |= np.uint16(1 << (code % r))
-
-    perm = _translate_tables(bp)
-    pop = np.array([bin(s).count("1") for s in range(1 << (r + 1))], dtype=np.uint8)
-    ginv = [group.inv(y) for y in range(r)]
-    zidx = np.array([[group.mul(x, ginv[y]) for x in range(r)] for y in range(r)])
-    prod = np.array([group.mul_row(a) for a in range(r)])
-    one_x = (np.uint16(1) << np.arange(r, dtype=np.uint16))[None, :]
-
-    verified = certified = certified_unverified = 0
-    failures = [0] * len(AXIOM_ORDER)
-    total = 1 << b
-    step = 1 << min(chunk_bits, b)
-    for lo in range(0, total, step):
-        masks = np.arange(lo, min(lo + step, total), dtype=np.int64)
-        bits = ((masks[:, None] >> np.arange(b)) & 1).astype(np.uint16)
-        rows = bits @ effect  # [n, r] pi row masks
-        p = rows.copy()
-        p[:, minus] |= zero_bit
-
-        add = np.empty((len(masks), r, r), dtype=np.uint16)  # add[:, x, y] = x + y
-        for y in range(r):
-            add[:, :, y] = perm[y][p[:, zidx[y]]]
-
-        empty = rows == 0
-        empty[:, minus] = False
-        fail_ne = empty.any(axis=1)
-
-        fail_comm = (add[:, :, 0] != add[:, 0, :]).any(axis=1)
-
-        fail_assoc = np.zeros(len(masks), dtype=bool)
-        for z in range(r):
-            # (x + 1) + z for all x: fold w + z over the members w of P(x)
-            lhs = (((p >> r) & 1) * np.uint16(1 << z)).astype(np.uint16)
-            to_z = add[:, :, z]
-            for w in range(r):
-                lhs |= (p >> w & 1) * to_z[:, w][:, None]
-            # x + (1 + z) for all x: fold x + w over the members w of 1 + z
-            inner = add[:, 0, z]
-            rhs = (((inner >> r) & 1)[:, None] * one_x).astype(np.uint16)
-            for w in range(r):
-                rhs |= ((inner >> w) & 1)[:, None] * add[:, :, w]
-            fail_assoc |= (lhs != rhs).any(axis=1)
-
-        fail_dist = np.zeros(len(masks), dtype=bool)
-        for a in range(r):
-            fail_dist |= (perm[a][p] != add[:, prod[a], a]).any(axis=1)
-
-        # nonzero x: negatives counted over nonzero y; the zero row always has one
-        negs = ((add >> r) & 1).sum(axis=2)
-        fail_uni = (negs != 1).any(axis=1)
-
-        fail_rev = np.zeros(len(masks), dtype=bool)
-        to_minus = add[:, :, minus]
-        for z in range(r):
-            in_one_plus_z = (add[:, 0, z][:, None] >> np.arange(r, dtype=np.uint16)) & 1
-            reverses = (to_minus >> z) & 1
-            fail_rev |= (in_one_plus_z & ~reverses & 1).any(axis=1)
-
-        fails = np.stack([fail_ne, fail_comm, fail_assoc, fail_dist, fail_uni, fail_rev])
-        any_fail = fails.any(axis=0)
-        first = np.argmax(fails, axis=0)
-        for i in range(len(AXIOM_ORDER)):
-            failures[i] += int((any_fail & (first == i)).sum())
-        verified += int((~any_fail).sum())
-
-        min_weight = pop[rows].min(axis=1)
-        screen = 2 * min_weight.astype(np.int64) > r
+    if bp.b > budget_bits:
+        raise CapacityError(f"2^{bp.b} subsets exceeds the 2^{budget_bits} budget")
+    circuit = AxiomCircuit(bp.group, bp.minus_one, bp.pair_to_block)
+    failures = np.zeros(len(AXIOM_ORDER), dtype=np.int64)
+    certified = certified_unverified = 0
+    for _, bits, screen in _chunks(bp, None):
+        first = circuit.failures(bits)
+        failures += first.sum(axis=1)
         certified += int(screen.sum())
-        certified_unverified += int((screen & any_fail).sum())
-
+        certified_unverified += int((screen & first.any(axis=0)).sum())
+    total = 1 << bp.b
     return SweepReport(
-        group,
-        minus,
+        bp.group,
+        bp.minus_one,
         total,
-        verified,
+        total - int(failures.sum()),
         certified,
         certified_unverified,
-        {name: n for name, n in zip(AXIOM_ORDER, failures) if n},
+        {name: int(n) for name, n in zip(AXIOM_ORDER, failures) if n},
     )
 
 

@@ -245,6 +245,8 @@ def _parse_shard(text: str, parser) -> tuple[int, int]:
 def cmd_census(args, parser) -> int:
     group = _group(args, parser)
     mode = MODE_AMPLE_ONLY if args.mode == "ample-only" else MODE_FULL
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
     if args.shard and args.minus_one is None:
         parser.error("--shard requires an explicit --minus-one")
     if args.minus_one is None:
@@ -603,7 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--minus-one", type=int, default=None)
     sp.add_argument("--mode", choices=["full", "ample-only"], default="full")
     sp.add_argument("--budget", type=int, default=30, help="max block count, as bits")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument(
+        "--threads", type=int, default=1, help="worker threads (>= 1), capped at the core count"
+    )
     sp.add_argument("--shard", help="I/N: run only the I-th of N contiguous spans")
     _add_common(sp)
     sp.set_defaults(func=cmd_census)

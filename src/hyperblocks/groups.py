@@ -12,7 +12,8 @@ from typing import Iterator
 
 from .errors import CapacityError
 
-AUTOMORPHISM_ORDER_BOUND = 64
+# automorphisms times group order: the entries an enumeration has to write
+AUTOMORPHISM_ENTRY_BOUND = 1 << 20
 MUL_TABLE_ORDER_BOUND = 256
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
@@ -159,11 +160,40 @@ class AbelianGroup:
 
     # -- automorphisms -------------------------------------------------------
 
-    def automorphisms(self, order_bound: int = AUTOMORPHISM_ORDER_BOUND) -> list[tuple[int, ...]]:
-        """All multiplication-preserving bijections, each as an index permutation."""
-        if self.order > order_bound:
+    def automorphism_count(self) -> int:
+        """|Aut(G)| in closed form from the invariant factors.
+
+        Per prime p, with G_p = Z_{p^e_1} x ... x Z_{p^e_k} and e_1 <= ... <= e_k,
+        d_j = max{l : e_l = e_j} and c_j = min{l : e_l = e_j}:
+        |Aut(G_p)| = prod_j (p^d_j - p^(j-1)) * p^(e_j (k - d_j)) * p^((e_j - 1)(k - c_j + 1))
+        (Hillar and Rhea, "Automorphisms of finite abelian groups", Amer. Math.
+        Monthly 114, 2007); |Aut(G)| is the product over the primes.
+        """
+        per_prime: dict[int, list[int]] = {}
+        for d in self.factors:
+            for p, e in _prime_factors(d).items():
+                per_prime.setdefault(p, []).append(e)
+        count = 1
+        for p, exps in per_prime.items():
+            exps.sort()
+            k = len(exps)
+            for j, e in enumerate(exps, start=1):
+                d = k - exps[::-1].index(e)
+                c = exps.index(e) + 1
+                count *= (p**d - p ** (j - 1)) * p ** (e * (k - d) + (e - 1) * (k - c + 1))
+        return count
+
+    def automorphisms(self) -> list[tuple[int, ...]]:
+        """All multiplication-preserving bijections, each as an index permutation.
+
+        Raises CapacityError before enumerating when the automorphisms times
+        the group order exceed AUTOMORPHISM_ENTRY_BOUND.
+        """
+        count = self.automorphism_count()
+        if count * self.order > AUTOMORPHISM_ENTRY_BOUND:
             raise CapacityError(
-                f"automorphism enumeration needs order <= {order_bound}, got {self.order}"
+                f"{count} automorphisms of an order-{self.order} group "
+                f"exceed the {AUTOMORPHISM_ENTRY_BOUND}-entry budget"
             )
         if not self.factors:
             return [(0,)]

@@ -234,6 +234,14 @@ def verify_axioms(h: HyperfieldCandidate) -> VerificationReport:
     be checked with one slot normalized to 1; the loops below do exactly
     that.  Cases involving the zero element hold by construction.  Tests
     compare this against a full triple-loop oracle.
+
+    Some checks are identities.  Distributivity and unique negatives hold
+    for every relation: both sides of a(z + 1) = az + a are the same pi
+    bits, and whether 0 is in x + y depends only on x = -y.  Commutativity
+    and reversibility hold for every union of blocks, because the block
+    moves map each pair they compare to the other.  This function still
+    checks all six, because it also takes arbitrary relations; batch sweeps
+    use the compiled census.AxiomCircuit, where identities compile away.
     """
     r = h.r
     zero = h.zero

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from hyperblocks import AbelianGroup, build_candidate, compute_blocks
+
+# the same examples on every run, and no deadline: timings vary too much on small hosts
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

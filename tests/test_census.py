@@ -163,6 +163,31 @@ def test_sharded_matches_serial(z3_blocks, z7_blocks):
     assert enumerate_sharded(z7_blocks, mode=MODE_AMPLE_ONLY, threads=4) == whole
 
 
+def test_sharded_rejects_fewer_than_one_thread(z3_blocks):
+    for threads in (0, -3):
+        with pytest.raises(ValueError):
+            enumerate_sharded(z3_blocks, threads=threads)
+
+
+def test_sharded_workers_capped_at_cpu_count(z3_blocks, monkeypatch):
+    import hyperblocks.census as census
+
+    started = []
+
+    class Recording(census.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(census, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    assert enumerate_sharded(z3_blocks, threads=1000) == enumerate_subsets(z3_blocks)
+    assert started == [2]
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 1)
+    assert enumerate_sharded(z3_blocks, threads=1000) == enumerate_subsets(z3_blocks)
+    assert started == [2]
+
+
 def test_census_all_minus_ones():
     censuses = census_all_minus_ones(AbelianGroup.from_spec("Z4"))
     assert [c.minus_one for c in censuses] == [0, 2]
@@ -177,15 +202,12 @@ def test_budget_enforced(z7_blocks):
 
 
 def _scalar_tally(bp):
-    from hyperblocks.census import iter_subsets
-    from hyperblocks import HyperfieldCandidate
-
     counts = {}
     verified = certified = certified_unverified = 0
-    for mask, rows, m in iter_subsets(bp):
-        h = HyperfieldCandidate(bp.group, bp.minus_one, tuple(rows))
+    for mask in range(1 << bp.b):
+        h = build_candidate(bp, mask)
         report = verify_axioms(h)
-        screen = 2 * m > bp.r
+        screen = 2 * min(row.bit_count() for row in h.rows) > bp.r
         certified += screen
         if report.ok:
             verified += 1

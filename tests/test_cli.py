@@ -102,6 +102,14 @@ def test_census_shard_spans(capsys):
     assert examined == 16
 
 
+def test_census_threads_below_one_is_usage_error(capsys):
+    for value in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--group", "Z5", "--threads", value])
+        assert exc.value.code == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
+
+
 def test_census_budget_exit_code(capsys):
     code, _, err = run(capsys, "census", "--group", "Z7", "--budget", "5")
     assert code == 3

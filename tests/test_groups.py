@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import time
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from hyperblocks import AbelianGroup, abelian_groups_up_to, invariant_factors
+from hyperblocks import AbelianGroup, CapacityError, abelian_groups_up_to, invariant_factors
+from hyperblocks.groups import AUTOMORPHISM_ENTRY_BOUND
 
 
 def smith_diagonal(factors):
@@ -124,6 +126,27 @@ def test_automorphism_count_cyclic_totient():
     for n in range(1, 16):
         g = AbelianGroup([n] if n > 1 else [])
         assert len(g.automorphisms()) == sympy.totient(n)
+
+
+def test_automorphism_count_closed_form():
+    # order <= 12 includes Z2xZ2xZ2; Z4xZ4 adds a repeated exponent above 1
+    for g in list(abelian_groups_up_to(12)) + [AbelianGroup([4, 4])]:
+        assert g.automorphism_count() == len(g.automorphisms()), g
+    assert AbelianGroup([2, 2, 2, 2]).automorphism_count() == 20160  # |GL(4, 2)|
+    assert AbelianGroup([2] * 5).automorphism_count() == 9999360  # |GL(5, 2)|
+
+
+def test_automorphism_budget_counts_work():
+    # Z2^4 fits the budget; Z2^5 has as many elements as Z32 but 9,999,360
+    # automorphisms, and is refused before any enumeration
+    z2_4, z2_5 = AbelianGroup([2] * 4), AbelianGroup([2] * 5)
+    assert z2_4.automorphism_count() * 16 <= AUTOMORPHISM_ENTRY_BOUND
+    assert z2_5.automorphism_count() * 32 > AUTOMORPHISM_ENTRY_BOUND
+    assert len(AbelianGroup([32]).automorphisms()) == 16
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError):
+        z2_5.automorphisms()
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_automorphisms_are_homomorphisms():

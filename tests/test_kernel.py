@@ -1,0 +1,142 @@
+"""The bit-sliced axiom kernel against scalar verify_axioms.
+
+The kernel must name the same first failing axiom as verify_axioms on
+every block union (exhaustively up to order 6, on hypothesis draws up to
+order 11) and on arbitrary relations, where commutativity can fail and
+reversibility can be violated.
+"""
+
+from functools import cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperblocks import (
+    MODE_FULL,
+    AbelianGroup,
+    HyperfieldCandidate,
+    abelian_groups_up_to,
+    build_candidate,
+    canonical_form,
+    compute_blocks,
+    enumerate_subsets,
+    is_ample,
+    verify_axioms,
+)
+from hyperblocks.census import AxiomCircuit, _survivors
+from hyperblocks.hyperfields import AXIOM_ORDER
+
+
+def partitions(lo, hi):
+    return [
+        (g.spec_string(), m1)
+        for g in abelian_groups_up_to(hi)
+        if g.order >= lo
+        for m1 in g.involution_candidates()
+    ]
+
+
+@cache
+def block_circuit(spec, m1):
+    bp = compute_blocks(AbelianGroup.from_spec(spec), m1)
+    return bp, AxiomCircuit(bp.group, bp.minus_one, bp.pair_to_block)
+
+
+@cache
+def relation_circuit(spec, m1):
+    g = AbelianGroup.from_spec(spec)
+    return g, AxiomCircuit(g, m1, range(g.order**2))
+
+
+def first_failures(circuit, masks):
+    """The kernel's first failing axiom per mask, None where every axiom holds."""
+    bits = np.array([[m >> i & 1 for m in masks] for i in range(circuit.nvars)], dtype=np.uint8)
+    first = circuit.failures(bits)
+    return [AXIOM_ORDER[col.argmax()] if col.any() else None for col in first.T]
+
+
+def relation(g, m1, mask):
+    """The candidate whose pi bit (x, y) is bit x * r + y of mask."""
+    r = g.order
+    return HyperfieldCandidate(g, m1, tuple(mask >> (x * r) & ((1 << r) - 1) for x in range(r)))
+
+
+@pytest.mark.parametrize("spec,m1", partitions(1, 6))
+def test_kernel_matches_scalar_on_every_small_block_union(spec, m1):
+    bp, circuit = block_circuit(spec, m1)
+    masks = list(range(1 << bp.b))
+    expected = [verify_axioms(build_candidate(bp, m)).axiom for m in masks]
+    assert first_failures(circuit, masks) == expected
+
+
+@pytest.mark.parametrize("spec,m1", partitions(7, 11))
+@settings(max_examples=15)
+@given(data=st.data())
+def test_kernel_matches_scalar_on_drawn_block_unions(spec, m1, data):
+    bp, circuit = block_circuit(spec, m1)
+    masks = data.draw(st.lists(st.integers(0, (1 << bp.b) - 1), min_size=1, max_size=12))
+    expected = [verify_axioms(build_candidate(bp, m)).axiom for m in masks]
+    assert first_failures(circuit, masks) == expected
+
+
+def test_kernel_matches_scalar_on_every_relation_up_to_order_3():
+    seen = set()
+    for spec in ("Z1", "Z2", "Z3"):
+        for m1 in AbelianGroup.from_spec(spec).involution_candidates():
+            g, circuit = relation_circuit(spec, m1)
+            masks = list(range(1 << g.order**2))
+            expected = [verify_axioms(relation(g, m1, m)).axiom for m in masks]
+            assert first_failures(circuit, masks) == expected
+            seen.update(expected)
+    assert {"nonempty-sums", "commutativity", "associativity", None} <= seen
+
+
+@pytest.mark.parametrize("spec,m1", [("Z4", 0), ("Z4", 2), ("Z2xZ2", 1), ("Z2xZ2", 3), ("Z5", 0)])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_kernel_matches_scalar_on_drawn_relations(spec, m1, data):
+    g, circuit = relation_circuit(spec, m1)
+    masks = data.draw(st.lists(st.integers(0, (1 << g.order**2) - 1), min_size=1, max_size=32))
+    expected = [verify_axioms(relation(g, m1, m)).axiom for m in masks]
+    assert first_failures(circuit, masks) == expected
+
+
+def test_identities_compile_away():
+    # the block moves make commutativity and reversibility identities on block
+    # unions; distributivity and unique negatives hold for every relation
+    for spec, m1 in partitions(1, 9):
+        _, circuit = block_circuit(spec, m1)
+        kept = {name for name, (lhs, _) in zip(AXIOM_ORDER, circuit.clauses) if len(lhs)}
+        assert kept <= {"nonempty-sums", "associativity"}, (spec, m1)
+    for spec, m1 in [("Z3", 0), ("Z4", 2), ("Z5", 0)]:
+        _, circuit = relation_circuit(spec, m1)
+        kept = {name for name, (lhs, _) in zip(AXIOM_ORDER, circuit.clauses) if len(lhs)}
+        assert "commutativity" in kept and "reversibility" in kept
+        assert not kept & {"distributivity", "unique-negatives"}
+
+
+def test_full_census_on_unaligned_gray_span():
+    bp, _ = block_circuit("Z7", 0)
+    span = (37, 2011)
+    gray = [t ^ (t >> 1) for t in range(*span)]
+    scalar = [mask for mask in gray if verify_axioms(build_candidate(bp, mask)).ok]
+    survivors = list(_survivors(bp, MODE_FULL, span))
+    assert [mask for mask, _, _ in survivors] == scalar
+    assert all(h == build_candidate(bp, mask) for mask, h, _ in survivors)
+    assert [ample for _, h, ample in survivors] == [is_ample(h) for _, h, _ in survivors]
+
+    classes = {}
+    for mask in scalar:
+        h = build_candidate(bp, mask)
+        slot = classes.setdefault(canonical_form(h), [0, mask, is_ample(h)])
+        slot[0] += 1
+        slot[1] = min(slot[1], mask)
+    census = enumerate_subsets(bp, span=span)
+    assert census.subsets_examined == span[1] - span[0]
+    assert census.hyperfield_count == len(scalar)
+    assert census.ample_count == sum(is_ample(build_candidate(bp, m)) for m in scalar)
+    assert [(c.canonical_pi, c.members, c.example_subset, c.ample) for c in census.classes] == [
+        (key, members, subset, ample) for key, (members, subset, ample) in sorted(classes.items())
+    ]

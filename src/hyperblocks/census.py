@@ -6,12 +6,21 @@ weighs what row -y weighs), so the ample screen is just
 2 * min(row weight) > r.  Every batch verification (the full-mode census
 and verify_all_subsets) runs one compiled, bit-sliced axiom circuit over
 the block bits (AxiomCircuit); verify_axioms is left to single candidates.
+
+A census sorts its survivors into isomorphism classes by block-orbit
+keys: automorphisms fixing -1 permute the blocks, and blocks are numbered
+by their least pair code, so the row-major pi string of a block union
+orders exactly as its bit-reversed block mask.  The least reversed mask
+over the orbit is therefore the canonical form, as an integer; its pi
+string is built once per class.  canonical_form stays the general
+oracle for arbitrary relations.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -22,8 +31,8 @@ from .groups import AbelianGroup
 from .hyperfields import (
     AXIOM_ORDER,
     STATUS_CERTIFIED,
-    STATUS_VERIFIED,
     HyperfieldCandidate,
+    build_candidate,
 )
 
 MODE_FULL = "full"
@@ -31,15 +40,35 @@ MODE_AMPLE_ONLY = "ample-only"
 
 SUBSET_BUDGET_BITS = 30
 CHUNK_BITS = 14  # masks per numpy chunk, as bits; bounds the kernel's working memory
+KEY_BITS = 53  # block-orbit keys are sums of distinct powers of two, exact in float64
 
 
-def automorphisms_fixing(group: AbelianGroup, minus_one: int) -> list[tuple[int, ...]]:
-    """Group automorphisms that fix the chosen -1 element."""
-    return [a for a in group.automorphisms() if a[minus_one] == minus_one]
+@lru_cache(maxsize=64)
+def automorphisms_fixing(group: AbelianGroup, minus_one: int) -> tuple[tuple[int, ...], ...]:
+    """Group automorphisms that fix the chosen -1 element, enumerated once per (group, -1)."""
+    return tuple(a for a in group.automorphisms() if a[minus_one] == minus_one)
+
+
+def block_permutations(bp: BlockPartition) -> np.ndarray:
+    """perms[k, i]: the block onto which the k-th automorphism fixing -1 maps block i.
+
+    Raises RuntimeError if an automorphism maps some block onto no single
+    block, which would make block masks unsound as isomorphism keys.
+    """
+    r = bp.r
+    autos = np.array(automorphisms_fixing(bp.group, bp.minus_one), dtype=np.intp)
+    block_of = np.array(bp.pair_to_block, dtype=np.intp)
+    # block of the image of every pair code, one row per automorphism
+    moved = block_of[(autos[:, :, None] * r + autos[:, None, :]).reshape(len(autos), -1)]
+    perms = np.empty((len(autos), bp.b), dtype=np.intp)
+    perms[:, block_of] = moved
+    if not (perms[:, block_of] == moved).all():
+        raise RuntimeError(f"an automorphism of {bp.group} splits a block")
+    return perms
 
 
 def canonical_form(
-    h: HyperfieldCandidate, autos: list[tuple[int, ...]] | None = None
+    h: HyperfieldCandidate, autos: Sequence[tuple[int, ...]] | None = None
 ) -> str:
     """Lexicographically least row-major pi bit string over the automorphism orbit.
 
@@ -236,27 +265,27 @@ def _chunks(
 
 def _survivors(
     bp: BlockPartition, mode: str, span: tuple[int, int] | None
-) -> Iterator[tuple[int, HyperfieldCandidate, bool]]:
-    """Stream (subset mask, candidate, ample) for the kept subsets, in Gray-code order.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(masks, block bits, ample flags) of the kept subsets, a chunk at a time in Gray-code order.
 
     Full mode keeps those passing the axiom kernel, ample-only mode those
     passing the ample screen.
     """
     if mode == MODE_FULL:
         circuit = AxiomCircuit(bp.group, bp.minus_one, bp.pair_to_block)
-    status = STATUS_VERIFIED if mode == MODE_FULL else STATUS_CERTIFIED
     for masks, bits, ample in _chunks(bp, span):
         keep = ~circuit.failures(bits).any(axis=0) if mode == MODE_FULL else ample
-        rows = _row_sums(bp, bits[:, keep], True).T.tolist()
-        for mask, row, is_ample in zip(masks[keep].tolist(), rows, ample[keep].tolist()):
-            yield mask, HyperfieldCandidate(bp.group, bp.minus_one, tuple(row), status), is_ample
+        yield masks[keep], bits[:, keep], ample[keep]
 
 
 def certified_candidates(
     bp: BlockPartition, span: tuple[int, int] | None = None
 ) -> Iterator[tuple[int, HyperfieldCandidate]]:
     """Stream (subset mask, candidate) for every subset passing the ample screen."""
-    return ((mask, h) for mask, h, _ in _survivors(bp, MODE_AMPLE_ONLY, span))
+    for masks, bits, _ in _survivors(bp, MODE_AMPLE_ONLY, span):
+        rows = _row_sums(bp, bits, True).T.tolist()
+        for mask, row in zip(masks.tolist(), rows):
+            yield mask, HyperfieldCandidate(bp.group, bp.minus_one, tuple(row), STATUS_CERTIFIED)
 
 
 def enumerate_subsets(
@@ -268,25 +297,43 @@ def enumerate_subsets(
     """Census of all 2^b block subsets for one (group, -1).
 
     mode "full" keeps the subsets that pass every axiom, judged a chunk at
-    a time by the axiom kernel, and canonicalizes only those; mode
-    "ample-only" keeps exactly the subsets whose pi satisfies the margin
-    screen and certifies them without triple checks.  span selects a
+    a time by the axiom kernel; mode "ample-only" keeps exactly the
+    subsets whose pi satisfies the margin screen and certifies them
+    without triple checks.  The kept subsets are classed by block-orbit
+    key, min over automorphisms s fixing -1 of the sum of 2^(b-1-s(i))
+    over the blocks i of the mask, a chunk at a time.  span selects a
     half-open range of Gray-code positions for sharding.
     """
     if mode not in (MODE_FULL, MODE_AMPLE_ONLY):
         raise ValueError(f"unknown census mode {mode!r}")
-    if bp.b > budget_bits:
-        raise CapacityError(f"2^{bp.b} subsets exceeds the 2^{budget_bits} budget")
-    autos = automorphisms_fixing(bp.group, bp.minus_one)
+    cap = min(budget_bits, KEY_BITS)
+    if bp.b > cap:
+        raise CapacityError(f"2^{bp.b} subsets exceeds the 2^{cap} budget")
+    weights = np.ldexp(1.0, bp.b - 1 - block_permutations(bp))
     lo, hi = span if span is not None else (0, 1 << bp.b)
     found = ample_found = 0
-    classes: dict[str, list[int]] = {}  # canonical pi -> [members, min subset, ample]
-    for mask, h, ample in _survivors(bp, mode, span):
-        found += 1
-        ample_found += ample
-        slot = classes.setdefault(canonical_form(h, autos), [0, mask, ample])
-        slot[0] += 1
-        slot[1] = min(slot[1], mask)
+    classes: dict[int, list[int]] = {}  # block-orbit key -> [members, least mask, ample]
+    for masks, bits, ample in _survivors(bp, mode, span):
+        found += len(masks)
+        ample_found += int(ample.sum())
+        values = bits.astype(np.float64)
+        keys = weights[0] @ values
+        for w in weights[1:]:
+            np.minimum(keys, w @ values, out=keys)
+        order = np.lexsort((masks, keys))
+        keys, masks, ample = keys[order].astype(np.int64), masks[order], ample[order]
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        members = np.diff(first, append=len(keys))
+        for key, n, mask, is_ample in zip(
+            keys[first].tolist(), members.tolist(), masks[first].tolist(), ample[first].tolist()
+        ):
+            slot = classes.setdefault(key, [0, mask, is_ample])
+            slot[0] += n
+            slot[1] = min(slot[1], mask)
+
+    def canonical_pi(key: int) -> str:
+        return build_candidate(bp, int(f"{key:0{bp.b}b}"[::-1], 2)).pi_bits()
+
     return Census(
         bp.group,
         bp.minus_one,
@@ -295,7 +342,7 @@ def enumerate_subsets(
         found,
         ample_found,
         tuple(
-            CensusClass(key, members, ample, subset)
+            CensusClass(canonical_pi(key), members, ample, subset)
             for key, (members, subset, ample) in sorted(classes.items())
         ),
     )

@@ -362,7 +362,7 @@ def cmd_count(args, parser) -> int:
         "distinct_rows": cm.row_count,
     }
     if bp.r % 2 == 1:
-        rep = decompose_and_bound(bp)
+        rep = decompose_and_bound(bp, args.budget)
         payload.update(
             {
                 "exact_count": rep.exact_count,

@@ -208,6 +208,32 @@ def valid_swap(s: InequalitySystem, g: int, u: int, v: int) -> InequalitySystem:
 # -- decomposition ------------------------------------------------------------
 
 
+def _decompose(s: InequalitySystem) -> tuple[InequalitySystem, int]:
+    """decompose_and_bound's swaps until every column holds at most one
+    nonzero entry; returns the system and the number of swaps."""
+    swaps = 0
+    while True:
+        over_full = next(
+            (u for u in range(s.ncols) if sum(1 for row in s.rows if row[u] != 0) >= 2), None
+        )
+        if over_full is None:
+            return s, swaps
+        v = next(c for c in range(s.ncols) if all(row[c] == 0 for row in s.rows))
+        g = next(i for i, row in enumerate(s.rows) if row[over_full] != 0)
+        s = valid_swap(s, g, over_full, v)
+        swaps += 1
+
+
+def _count_disjoint(s: InequalitySystem, column_budget: int = COLUMN_BUDGET) -> int:
+    """Solutions of a system whose rows share no column: the product of the
+    one-row counts, times 2 per all-zero column."""
+    count = 1 << sum(1 for u in range(s.ncols) if all(row[u] == 0 for row in s.rows))
+    for row, d in zip(s.rows, s.thresholds):
+        entries = tuple(e for e in row if e != 0)
+        count *= count_solutions(InequalitySystem((entries,), (d,), len(entries)), column_budget)
+    return count
+
+
 @dataclass(frozen=True)
 class BoundReport:
     exact_count: int  # solutions of the original block system
@@ -218,7 +244,7 @@ class BoundReport:
     swaps: int
 
 
-def decompose_and_bound(bp: BlockPartition) -> BoundReport:
+def decompose_and_bound(bp: BlockPartition, column_budget: int = COLUMN_BUDGET) -> BoundReport:
     """Count ample subsets exactly and prove the 2^(b - (r+1)/2) lower bound.
 
     Pads the block coefficient system with zero columns up to one column
@@ -227,31 +253,18 @@ def decompose_and_bound(bp: BlockPartition) -> BoundReport:
     holds at most one nonzero entry.  Swaps never increase the solution
     count and each padding column exactly doubles it, so the count of the
     final system divided by the padding factor bounds the original count
-    from below.
+    from below.  The final rows share no column, so its count is the
+    product of one-row counts times 2 per empty column; column_budget
+    applies to each count_solutions call.
     """
     r = bp.r
     if r % 2 == 0:
         raise ValueError("decomposition bound needs odd group order")
     base = ample_system(bp)
-    exact = count_solutions(base)
+    exact = count_solutions(base, column_budget)
     b_prime = sum(1 for row in base.rows for e in row if e != 0)
-    s = base.padded(b_prime - base.ncols)
-    swaps = 0
-    while True:
-        over_full = None
-        for u in range(s.ncols):
-            if sum(1 for row in s.rows if row[u] != 0) >= 2:
-                over_full = u
-                break
-        if over_full is None:
-            break
-        v = next(
-            c for c in range(s.ncols) if all(row[c] == 0 for row in s.rows)
-        )
-        g = next(i for i, row in enumerate(s.rows) if row[over_full] != 0)
-        s = valid_swap(s, g, over_full, v)
-        swaps += 1
-    final = count_solutions(s)
+    s, swaps = _decompose(base.padded(b_prime - base.ncols))
+    final = _count_disjoint(s, column_budget)
     bound = 1 << (bp.b - (r + 1) // 2)
     if exact < bound:
         raise RuntimeError(

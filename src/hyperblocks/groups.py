@@ -195,54 +195,28 @@ class AbelianGroup:
                 f"{count} automorphisms of an order-{self.order} group "
                 f"exceed the {AUTOMORPHISM_ENTRY_BOUND}-entry budget"
             )
-        if not self.factors:
-            return [(0,)]
-        s = len(self.factors)
-        gens = [self.element_index(tuple(1 if j == i else 0 for j in range(s))) for i in range(s)]
         # image of generator i must have order dividing factors[i]
         choices = [
             [g for g in range(self.order) if self.power(g, d) == 0] for d in self.factors
         ]
         autos: list[tuple[int, ...]] = []
-        images: list[int] = []
 
-        def span_size(imgs: list[int]) -> int:
-            # size of the image of the partial hom on <e_1..e_i>
-            seen = {0}
-            frontier = [0]
-            for g, d in zip(imgs, self.factors):
-                layer = set(seen)
-                for x in list(layer):
-                    y = x
-                    for _ in range(d - 1):
-                        y = self.mul(y, g)
-                        layer.add(y)
-                seen = layer
-            return len(seen)
-
-        def rec(i: int) -> None:
-            if i == s:
-                perm = [0] * self.order
-                for e in range(self.order):
-                    vec = self.element_vector(e)
-                    img = 0
-                    for v, g in zip(vec, images):
-                        img = self.mul(img, self.power(g, v))
-                    perm[e] = img
-                if len(set(perm)) == self.order:
-                    autos.append(tuple(perm))
+        def rec(i: int, span: list[int]) -> None:
+            # span[e] is the image of the e-th element of <e_1..e_i> in mixed
+            # radix order, so at i = s it is the whole permutation
+            if i == len(self.factors):
+                autos.append(tuple(span))
                 return
-            expected = 1
-            for d in self.factors[: i + 1]:
-                expected *= d
             for g in choices[i]:
-                images.append(g)
-                # prune: partial map must already be injective on the partial span
-                if span_size(images) == expected:
-                    rec(i + 1)
-                images.pop()
+                powers = [0]
+                for _ in range(self.factors[i] - 1):
+                    powers.append(self.mul(powers[-1], g))
+                extended = [self.mul(x, p) for x in span for p in powers]
+                # prune: the partial map must stay injective on the partial span
+                if len(set(extended)) == len(extended):
+                    rec(i + 1, extended)
 
-        rec(0)
+        rec(0, [0])
         return autos
 
     # -- display -------------------------------------------------------------

@@ -107,6 +107,16 @@ def test_certified_candidates_status_and_soundness(z3_blocks):
     )
 
 
+def test_certified_candidates_on_unaligned_gray_span(z7_blocks):
+    span = (37, 2011)
+    gray = [t ^ (t >> 1) for t in range(*span)]
+    expected = [mask for mask in gray if is_ample(build_candidate(z7_blocks, mask))]
+    got = list(certified_candidates(z7_blocks, span))
+    assert [mask for mask, _ in got] == expected
+    assert all(h == build_candidate(z7_blocks, mask) for mask, h in got)
+    assert all(h.status == STATUS_CERTIFIED for _, h in got)
+
+
 def test_trivial_group_census():
     bp = compute_blocks(AbelianGroup([]), 0)
     c = enumerate_subsets(bp)

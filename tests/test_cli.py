@@ -200,6 +200,19 @@ def test_count_json(capsys):
     assert d["b"] == 4
 
 
+def test_count_z9_bound(capsys):
+    code, out, _ = run(capsys, "count", "--group", "Z9", "--format", "json")
+    assert code == 0
+    d = json.loads(out)
+    assert (d["exact_count"], d["lower_bound"], d["b_prime"]) == (55709, 16384, 42)
+
+
+def test_count_budget_applies_to_odd_order(capsys):
+    code, _, err = run(capsys, "count", "--group", "Z7", "--budget", "5")
+    assert code == 3
+    assert "capacity" in err.lower()
+
+
 def test_count_even_order_has_no_bound(capsys):
     code, out, _ = run(
         capsys, "count", "--group", "Z4", "--minus-one", "0", "--format", "json"

@@ -17,7 +17,7 @@ from hyperblocks import (
     infinite_quotient_upper_bound,
     valid_swap,
 )
-from hyperblocks.counting import _count_direct, _count_split
+from hyperblocks.counting import _count_direct, _count_disjoint, _count_split, _decompose
 
 
 def brute_count(s):
@@ -221,6 +221,48 @@ def test_decompose_final_count_formula(z5_blocks):
     rep = decompose_and_bound(z5_blocks)
     nrows = len(ample_system(z5_blocks).rows)
     assert rep.final_count == 1 << (rep.b_prime - nrows)
+
+
+@pytest.mark.parametrize("spec", ["Z3", "Z5", "Z7"])
+def test_disjoint_count_equals_count_solutions_after_decomposition(spec):
+    base = ample_system(compute_blocks(AbelianGroup.from_spec(spec), 0))
+    b_prime = sum(1 for row in base.rows for e in row if e != 0)
+    s, _ = _decompose(base.padded(b_prime - base.ncols))
+    assert all(sum(1 for row in s.rows if row[u]) <= 1 for u in range(s.ncols))
+    assert _count_disjoint(s) == count_solutions(s)
+
+
+def test_disjoint_count_randomized():
+    rng = random.Random(4211)
+    for _ in range(100):
+        ncols = rng.randrange(1, 10)
+        nrows = rng.randrange(1, 4)
+        rows = [[0] * ncols for _ in range(nrows)]
+        for u in range(ncols):
+            g = rng.randrange(nrows + 1)  # nrows leaves the column empty
+            if g < nrows:
+                rows[g][u] = rng.randrange(1, 4)
+        thr = [Fraction(rng.randrange(0, 2 * ncols), 2) for _ in range(nrows)]
+        s = InequalitySystem.make(rows, thr, ncols=ncols)
+        assert _count_disjoint(s) == brute_count(s)
+
+
+@pytest.mark.parametrize("spec", ["Z9", "Z3xZ3", "Z11"])
+def test_decompose_beyond_the_padded_column_budget(spec):
+    # the padded systems have 42, 45 and 61 columns, past COLUMN_BUDGET,
+    # but every count made is of the unpadded system or of one row
+    bp = compute_blocks(AbelianGroup.from_spec(spec), 0)
+    rep = decompose_and_bound(bp)
+    assert rep.b_prime > 30
+    assert rep.exact_count == count_solutions(ample_system(bp))
+    assert rep.final_count == rep.lower_bound << (rep.b_prime - rep.b)
+
+
+def test_decompose_column_budget():
+    bp = compute_blocks(AbelianGroup.from_spec("Z7"), 0)
+    with pytest.raises(CapacityError):
+        decompose_and_bound(bp, column_budget=5)
+    assert decompose_and_bound(bp, column_budget=12).exact_count == 612
 
 
 def test_decompose_rejects_even_order():

@@ -149,6 +149,17 @@ def test_automorphism_budget_counts_work():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_elementary_abelian_automorphisms():
+    # Z2^4: all of GL(4, 2), each a distinct bijection that fixes the identity
+    # and is additive on a basis
+    g = AbelianGroup([2] * 4)
+    autos = g.automorphisms()
+    assert len(set(autos)) == 20160
+    for a in autos:
+        assert a[0] == 0 and len(set(a)) == 16
+        assert all(a[g.mul(x, y)] == g.mul(a[x], a[y]) for x in (1, 2, 4, 8) for y in range(16))
+
+
 def test_automorphisms_are_homomorphisms():
     g = AbelianGroup([2, 4])
     autos = g.automorphisms()

@@ -122,10 +122,13 @@ def test_full_census_on_unaligned_gray_span():
     span = (37, 2011)
     gray = [t ^ (t >> 1) for t in range(*span)]
     scalar = [mask for mask in gray if verify_axioms(build_candidate(bp, mask)).ok]
-    survivors = list(_survivors(bp, MODE_FULL, span))
-    assert [mask for mask, _, _ in survivors] == scalar
-    assert all(h == build_candidate(bp, mask) for mask, h, _ in survivors)
-    assert [ample for _, h, ample in survivors] == [is_ample(h) for _, h, _ in survivors]
+    chunks = list(_survivors(bp, MODE_FULL, span))
+    assert [mask for masks, _, _ in chunks for mask in masks.tolist()] == scalar
+    for masks, bits, ample in chunks:
+        # each column of bits is its mask's block bits; each flag the candidate's ampleness
+        shifts = np.arange(bp.b, dtype=np.uint64)[:, None]
+        assert (bits == (masks[None, :] >> shifts) & np.uint64(1)).all()
+        assert ample.tolist() == [is_ample(build_candidate(bp, m)) for m in masks.tolist()]
 
     classes = {}
     for mask in scalar:

@@ -1,0 +1,157 @@
+"""Census classes by block-orbit keys against the pi-string canonical_form.
+
+enumerate_subsets classes its survivors by the least bit-reversed block
+mask over the automorphisms fixing -1, and builds each class's pi string
+once.  Here every class is recomputed by grouping the same survivors
+under canonical_form, exhaustively up to order 8 and on hypothesis-drawn
+Gray-code spans of the order-9 partitions.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperblocks import (
+    MODE_AMPLE_ONLY,
+    MODE_FULL,
+    AbelianGroup,
+    CapacityError,
+    abelian_groups_up_to,
+    build_candidate,
+    canonical_form,
+    compute_blocks,
+    dedup_records,
+    enumerate_subsets,
+    is_ample,
+    make_record,
+)
+from hyperblocks import census
+from hyperblocks.blocks import BlockPartition
+from hyperblocks.census import _survivors, automorphisms_fixing, block_permutations
+
+SMALL = [
+    (g.spec_string(), m1) for g in abelian_groups_up_to(8) for m1 in g.involution_candidates()
+]
+
+
+def partition(spec, m1):
+    return compute_blocks(AbelianGroup.from_spec(spec), m1)
+
+
+def reference_classes(bp, masks):
+    """(canonical_pi, members, least mask, ample) per class, grouped by canonical_form."""
+    autos = automorphisms_fixing(bp.group, bp.minus_one)
+    classes = {}
+    for mask in masks:
+        h = build_candidate(bp, mask)
+        slot = classes.setdefault(canonical_form(h, autos), [0, mask, is_ample(h)])
+        slot[0] += 1
+        slot[1] = min(slot[1], mask)
+    return [(key, members, subset, ample) for key, (members, subset, ample) in sorted(classes.items())]
+
+
+def census_classes(c):
+    return [(cl.canonical_pi, cl.members, cl.example_subset, cl.ample) for cl in c.classes]
+
+
+def reversed_mask(mask, b):
+    return int(f"{mask:0{b}b}"[::-1], 2)
+
+
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_AMPLE_ONLY])
+@pytest.mark.parametrize("spec,m1", SMALL)
+def test_orbit_keys_match_canonical_form(spec, m1, mode):
+    bp = partition(spec, m1)
+    # the survivors are the kernel's (tested against verify_axioms in
+    # test_kernel.py) or the ample screen's; the classes are under test here
+    masks = [m for chunk, _, _ in _survivors(bp, mode, None) for m in chunk.tolist()]
+    c = enumerate_subsets(bp, mode)
+    assert c.hyperfield_count == len(masks)
+    assert c.ample_count == sum(is_ample(build_candidate(bp, m)) for m in masks)
+    assert census_classes(c) == reference_classes(bp, masks)
+
+
+@pytest.mark.parametrize("spec", ["Z9", "Z2xZ4", "Z3xZ3"])
+@settings(max_examples=6)
+@given(data=st.data())
+def test_orbit_keys_on_drawn_gray_spans(spec, data):
+    g = AbelianGroup.from_spec(spec)
+    bp = compute_blocks(g, data.draw(st.sampled_from(g.involution_candidates())))
+    lo = data.draw(st.integers(0, (1 << bp.b) - 1))
+    span = (lo, data.draw(st.integers(lo + 1, min(lo + 1500, 1 << bp.b))))
+    gray = [t ^ (t >> 1) for t in range(*span)]
+    masks = [m for m in gray if is_ample(build_candidate(bp, m))]
+    c = enumerate_subsets(bp, MODE_AMPLE_ONLY, span=span)
+    assert (c.subsets_examined, c.hyperfield_count, c.ample_count) == (
+        span[1] - span[0],
+        len(masks),
+        len(masks),
+    )
+    assert census_classes(c) == reference_classes(bp, masks)
+
+
+@pytest.mark.parametrize("spec,m1", [("Z7", 0), ("Z2xZ2xZ2", 0), ("Z9", 0), ("Z3xZ3", 0)])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_pi_string_order_is_reversed_mask_order(spec, m1, data):
+    bp = partition(spec, m1)
+    a, b = (data.draw(st.integers(0, (1 << bp.b) - 1)) for _ in range(2))
+    pa, pb = (build_candidate(bp, m).pi_bits() for m in (a, b))
+    assert (pa < pb) == (reversed_mask(a, bp.b) < reversed_mask(b, bp.b))
+    assert (pa == pb) == (a == b)
+
+
+def test_enumerate_subsets_makes_no_canonical_form_calls(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical_form called")
+
+    monkeypatch.setattr(census, "canonical_form", refuse)
+    for spec, m1 in [("Z7", 0), ("Z2xZ4", 2)]:
+        for mode in (MODE_FULL, MODE_AMPLE_ONLY):
+            assert enumerate_subsets(partition(spec, m1), mode).class_count > 0
+
+
+def test_block_permutations_permute_blocks():
+    bp = partition("Z2xZ2xZ2", 0)
+    perms = block_permutations(bp)
+    assert perms.shape == (168, bp.b)
+    for perm in perms.tolist():
+        assert sorted(perm) == list(range(bp.b))
+
+
+def test_block_permutations_reject_a_split_block():
+    # pair (1, a) alone and every other pair of Z3 in one block: a -> a^2
+    # sends (1, a) to (1, a^2), which lies in the other block with (1, 1)
+    g = AbelianGroup.from_spec("Z3")
+    assignment = tuple(1 if code == 1 else 0 for code in range(9))
+    blocks = (tuple(c for c in range(9) if c != 1), (1,))
+    with pytest.raises(RuntimeError):
+        block_permutations(BlockPartition(g, 0, blocks, assignment))
+
+
+def test_automorphisms_fixing_enumerates_once_per_partition(monkeypatch):
+    calls = []
+    enumerate_all = AbelianGroup.automorphisms
+
+    def counting(self):
+        calls.append(self)
+        return enumerate_all(self)
+
+    monkeypatch.setattr(AbelianGroup, "automorphisms", counting)
+    automorphisms_fixing.cache_clear()
+    bp = partition("Z7", 0)
+    records = [make_record(build_candidate(bp, m)) for m in range(0, 1 << bp.b, 37)]
+    kept = dedup_records(records)
+    assert 0 < len(kept) < len(records)
+    assert len(calls) == 1
+    autos = automorphisms_fixing(bp.group, bp.minus_one)
+    assert isinstance(autos, tuple) and all(isinstance(a, tuple) for a in autos)
+    assert len(calls) == 1
+
+
+def test_keys_past_float64_precision_are_refused():
+    # orbit keys are float64 sums of 2^(b-1-i); past 53 blocks they would round
+    bp = partition("Z19", 0)
+    assert bp.b > 53
+    with pytest.raises(CapacityError):
+        enumerate_subsets(bp, budget_bits=64, span=(0, 8))

@@ -231,6 +231,21 @@ def _census_to_dict(c) -> dict:
     }
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than low, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _parse_shard(text: str, parser) -> tuple[int, int]:
     try:
         i, n = text.split("/")
@@ -604,7 +619,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group", help="group spec")
     sp.add_argument("--minus-one", type=int, default=None)
     sp.add_argument("--mode", choices=["full", "ample-only"], default="full")
-    sp.add_argument("--budget", type=int, default=30, help="max block count, as bits")
+    sp.add_argument(
+        "--budget", type=_int_at_least(0), default=30, help="max block count, as bits"
+    )
     sp.add_argument(
         "--threads", type=int, default=1, help="worker threads (>= 1), capped at the core count"
     )
@@ -621,22 +638,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("count", help="ample subset counts and lower bound")
     sp.add_argument("--group", help="group spec")
     sp.add_argument("--minus-one", type=int, default=None)
-    sp.add_argument("--budget", type=int, default=30, help="column budget for counting")
+    sp.add_argument(
+        "--budget", type=_int_at_least(0), default=30, help="column budget for counting"
+    )
     _add_common(sp, fmt=("text", "json"))
     sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("quotient", help="finite field quotients")
     sp.add_argument("--q", type=int, default=None, help="field size to quotient")
     sp.add_argument("--r", type=int, default=None, help="quotient by r-th powers")
-    sp.add_argument("--bound", type=int, default=None, help="scan bound for status")
+    sp.add_argument(
+        "--bound", type=_int_at_least(0), default=None, help="scan bound for status"
+    )
     _add_candidate_source(sp)
     _add_common(sp, fmt=("text", "json"))
     sp.set_defaults(func=cmd_quotient)
 
     sp = sub.add_parser("fetvins", help="solvability of small linear systems")
     _add_candidate_source(sp)
-    sp.add_argument("--nmax", type=int, default=3, help="largest variable count")
-    sp.add_argument("--budget", type=int, default=10_000_000)
+    sp.add_argument("--nmax", type=_int_at_least(1), default=3, help="largest variable count")
+    sp.add_argument("--budget", type=_int_at_least(0), default=10_000_000)
     sp.add_argument("--system", help="JSON equations; -1 is the zero coefficient")
     _add_common(sp, fmt=("text", "json"))
     sp.set_defaults(func=cmd_fetvins)

@@ -5,7 +5,10 @@ product of independent rows.
 A system is C x > d componentwise with non-negative entries, x ranging
 over {0,1}^b.  Solutions of the system built from a block partition
 (rows = distinct coefficient rows, every threshold r/2) are exactly the
-ample block subsets.
+ample block subsets.  They are counted by one column-by-column dynamic
+program whose per-row partial sums saturate at their thresholds (exact
+counting in the style of Dyer, "Approximate counting by dynamic
+programming", STOC 2003).
 """
 from __future__ import annotations
 
@@ -13,14 +16,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .blocks import BlockPartition, coefficient_matrix
 from .errors import CapacityError
 
 COLUMN_BUDGET = 30
-_DIRECT_LIMIT = 14  # direct Gray enumeration below this, meet-in-the-middle above
-_GRID_CELL_LIMIT = 20_000_000
+_STATE_LIMIT = 1 << 20  # live states of the counting DP
 
 Number = int | Fraction
 
@@ -74,32 +74,42 @@ def ample_system(bp: BlockPartition) -> InequalitySystem:
 
 
 def count_solutions(s: InequalitySystem, column_budget: int = COLUMN_BUDGET) -> int:
-    """Exact number of x in {0,1}^ncols with C x > d componentwise."""
+    """Exact number of x in {0,1}^ncols with C x > d componentwise.
+
+    One dynamic program over the columns.  A state is the tuple of per-row
+    partial sums of the integer-scaled rows, each capped at the least sum
+    that satisfies its row, t_i = max(floor(d_i) + 1, 0); the answer is
+    the number of assignments reaching the state t.  Counts are Python
+    ints, so they stay exact past 2^63.  More than _STATE_LIMIT live
+    states raises CapacityError, which no system of 20 columns or fewer
+    can reach.
+    """
     if s.ncols > column_budget:
         raise CapacityError(f"{s.ncols} columns exceeds the {column_budget}-column budget")
-    if not s.rows:
-        return 1 << s.ncols
-    if s.ncols <= _DIRECT_LIMIT:
-        return _count_direct(s)
-    return _count_split(s)
-
-
-def _count_direct(s: InequalitySystem) -> int:
-    k = len(s.rows)
-    sums: list[Number] = [0] * k
-    d = s.thresholds
-    count = 1 if all(sums[i] > d[i] for i in range(k)) else 0
-    mask = 0
-    for t in range(1, 1 << s.ncols):
-        j = (t & -t).bit_length() - 1
-        bit = 1 << j
-        mask ^= bit
-        sign = 1 if mask & bit else -1
-        for i in range(k):
-            sums[i] += sign * s.rows[i][j]
-        if all(sums[i] > d[i] for i in range(k)):
-            count += 1
-    return count
+    rows, ds = _scaled_integer_rows(s)
+    targets = tuple(max(math.floor(d) + 1, 0) for d in ds)
+    left = [sum(row) for row in rows]  # row i's sum over the columns not yet processed
+    if any(v < t for v, t in zip(left, targets)):
+        return 0
+    states: dict[tuple[int, ...], int] = {(0,) * len(rows): 1}
+    for j in range(s.ncols):
+        col = tuple(row[j] for row in rows)
+        touched = [i for i, c in enumerate(col) if c]
+        for i in touched:
+            left[i] -= col[i]
+        nxt: dict[tuple[int, ...], int] = {}
+        for state, n in states.items():
+            # invariant: every live state can still reach its targets,
+            # state[i] + left[i] >= targets[i] for all i.  Setting x_j = 1
+            # keeps it; x_j = 0 can break it only in the rows col touches.
+            if all(state[i] + left[i] >= targets[i] for i in touched):
+                nxt[state] = nxt.get(state, 0) + n
+            up = tuple(min(v + c, t) for v, c, t in zip(state, col, targets))
+            nxt[up] = nxt.get(up, 0) + n
+        states = nxt
+        if len(states) > _STATE_LIMIT:
+            raise CapacityError(f"{len(states)} live counting states exceed {_STATE_LIMIT}")
+    return states.get(targets, 0)
 
 
 def _scaled_integer_rows(s: InequalitySystem) -> tuple[list[list[int]], list[Fraction]]:
@@ -114,62 +124,6 @@ def _scaled_integer_rows(s: InequalitySystem) -> tuple[list[list[int]], list[Fra
         rows.append([int(e * denom) for e in row])
         ds.append(d * denom)
     return rows, ds
-
-
-def _count_split(s: InequalitySystem) -> int:
-    """Meet-in-the-middle: enumerate half-assignments, then count dominating
-    pairs on an integer grid of partial sums."""
-    rows, ds = _scaled_integer_rows(s)
-    k = len(rows)
-    half = s.ncols // 2
-    left_cols = range(half)
-    right_cols = range(half, s.ncols)
-
-    def partial_sums(cols: range) -> dict[tuple[int, ...], int]:
-        out: dict[tuple[int, ...], int] = {}
-        cols = list(cols)
-        sums = [0] * k
-        mask = 0
-        out[tuple(sums)] = 1
-        for t in range(1, 1 << len(cols)):
-            j = (t & -t).bit_length() - 1
-            bit = 1 << j
-            mask ^= bit
-            sign = 1 if mask & bit else -1
-            col = cols[j]
-            for i in range(k):
-                sums[i] += sign * rows[i][col]
-            key = tuple(sums)
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    right = partial_sums(right_cols)
-    dims = tuple(sum(rows[i][c] for c in right_cols) + 1 for i in range(k))
-    cells = 1
-    for d in dims:
-        cells *= d
-    if cells > _GRID_CELL_LIMIT:
-        raise CapacityError(f"dominance grid needs {cells} cells")
-    grid = np.zeros(dims, dtype=np.int64)
-    for key, n in right.items():
-        grid[key] += n
-    # suffix sums: grid[t] = number of right tuples >= t componentwise
-    for axis in range(k):
-        grid = np.flip(np.cumsum(np.flip(grid, axis=axis), axis=axis), axis=axis)
-    total = 0
-    for key, n in partial_sums(left_cols).items():
-        idx = []
-        ok = True
-        for i in range(k):
-            # least integer t with sL + t > d, i.e. t > d - sL
-            t = math.floor(ds[i] - key[i]) + 1
-            if t >= dims[i]:
-                ok = False
-                break
-            idx.append(max(t, 0))
-        if ok:
-            total += n * int(grid[tuple(idx)])
-    return total
 
 
 # -- swaps --------------------------------------------------------------------

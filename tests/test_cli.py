@@ -207,6 +207,31 @@ def test_count_z9_bound(capsys):
     assert (d["exact_count"], d["lower_bound"], d["b_prime"]) == (55709, 16384, 42)
 
 
+def test_count_z13_past_the_default_budget(capsys):
+    code, out, _ = run(capsys, "count", "--group", "Z13", "--budget", "35")
+    assert code == 0
+    assert "exact=1598203438 lower bound=268435456 (b'=85, 50 swaps)" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--group", "Z3", "--budget", "-1"],
+        ["census", "--group", "Z3", "--budget", "-2"],
+        ["fetvins", "--group", "Z3", "--blocks", "BD", "--nmax", "0"],
+        ["fetvins", "--group", "Z3", "--blocks", "BD", "--nmax", "-1"],
+        ["fetvins", "--group", "Z3", "--blocks", "BD", "--budget", "-1"],
+        ["quotient", "--group", "Z3", "--blocks", "BD", "--bound", "-5"],
+        ["count", "--group", "Z3", "--budget", "many"],
+    ],
+)
+def test_out_of_range_values_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+
 def test_count_budget_applies_to_odd_order(capsys):
     code, _, err = run(capsys, "count", "--group", "Z7", "--budget", "5")
     assert code == 3

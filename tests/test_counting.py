@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperblocks import (
     AbelianGroup,
@@ -17,7 +19,9 @@ from hyperblocks import (
     infinite_quotient_upper_bound,
     valid_swap,
 )
-from hyperblocks.counting import _count_direct, _count_disjoint, _count_split, _decompose
+from hyperblocks import counting
+from hyperblocks.cli import main
+from hyperblocks.counting import _count_disjoint, _decompose
 
 
 def brute_count(s):
@@ -100,15 +104,9 @@ def test_count_column_budget():
     assert count_solutions(s, column_budget=31) == 1 << 31
 
 
-def test_direct_and_split_agree(z3_blocks, z5_blocks, z7_blocks):
-    for bp in (z3_blocks, z5_blocks, z7_blocks):
-        s = ample_system(bp)
-        assert _count_direct(s) == _count_split(s)
-
-
-def test_split_path_via_padding(z3_blocks):
-    # 18 columns forces the meet-in-the-middle path; padding must scale
-    # the count by exactly 2^14
+def test_padding_doubles_per_zero_column(z3_blocks):
+    # each all-zero column is free, so 14 of them scale the count by
+    # exactly 2^14
     s = ample_system(z3_blocks).padded(14)
     assert s.ncols == 18
     assert count_solutions(s) == 6 << 14
@@ -123,6 +121,47 @@ def test_random_systems_match_brute_force():
         thr = [Fraction(rng.randrange(0, 12), rng.choice([1, 2, 3])) for _ in range(nrows)]
         s = InequalitySystem.make(rows, thr, ncols=ncols)
         assert count_solutions(s) == brute_count(s)
+
+
+ENTRIES = st.sampled_from([0, 0, 1, 2, 3, Fraction(1, 2), Fraction(2, 3)])
+THRESHOLDS = st.fractions(min_value=-3, max_value=12, max_denominator=6)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_count_matches_brute_force_on_drawn_systems(data):
+    # fractional entries and thresholds, negative thresholds, zero rows and
+    # zero columns: the cases the integer-only random test never draws
+    ncols = data.draw(st.integers(0, 9), label="ncols")
+    nrows = data.draw(st.integers(0, 4), label="nrows")
+    rows = data.draw(
+        st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows),
+        label="rows",
+    )
+    for i in data.draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=nrows), label="zero rows"):
+        rows[i] = [0] * ncols
+    for u in data.draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols), label="zero cols"):
+        for row in rows:
+            row[u] = 0
+    thr = data.draw(st.lists(THRESHOLDS, min_size=nrows, max_size=nrows), label="thresholds")
+    s = InequalitySystem.make(rows, thr, ncols=ncols)
+    assert count_solutions(s) == brute_count(s)
+
+
+def test_state_limit_raises_capacity_error(monkeypatch, z7_blocks):
+    monkeypatch.setattr(counting, "_STATE_LIMIT", 8)
+    with pytest.raises(CapacityError):
+        count_solutions(ample_system(z7_blocks))
+    assert main(["count", "--group", "Z7"]) == 3
+
+
+def test_fourteen_columns_twelve_rows_counts():
+    # 2^14 assignments, all below the state limit
+    rng = random.Random(1414)
+    rows = [[rng.randrange(0, 4) for _ in range(14)] for _ in range(12)]
+    thr = [Fraction(rng.randrange(0, sum(row) + 1), 2) for row in rows]
+    s = InequalitySystem.make(rows, thr)
+    assert count_solutions(s) == brute_count(s) > 0
 
 
 # -- swaps ----------------------------------------------------------------------

@@ -108,7 +108,8 @@ def _minus_one(args, parser, group: AbelianGroup) -> int:
 
 
 def _candidates(args, parser) -> list[HyperfieldCandidate]:
-    """Candidates from --in, --pi, or --blocks, in that priority order."""
+    """Candidates from --in, --pi, or --blocks, in that priority order;
+    --group alone is the full relation."""
     if getattr(args, "infile", None):
         return [rec.candidate for rec in load_records(args.infile)]
     group = _group(args, parser)
@@ -125,7 +126,8 @@ def _candidates(args, parser) -> list[HyperfieldCandidate]:
         except ValueError:
             parser.error(f"unknown block label in {args.blocks!r}; have {''.join(bp.labels())}")
         return [build_candidate(bp, mask)]
-    parser.error("provide a candidate via --in, --pi, or --blocks")
+    full = (1 << group.order) - 1
+    return [HyperfieldCandidate(group, minus_one, (full,) * group.order)]
 
 
 def _mask_labels(mask: int) -> str:
@@ -639,7 +641,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group", help="group spec")
     sp.add_argument("--minus-one", type=int, default=None)
     sp.add_argument(
-        "--budget", type=_int_at_least(0), default=30, help="column budget for counting"
+        "--budget",
+        type=_int_at_least(0),
+        default=None,
+        help="live states allowed in the counting DP (default 2^20)",
     )
     _add_common(sp, fmt=("text", "json"))
     sp.set_defaults(func=cmd_count)

@@ -19,8 +19,7 @@ from fractions import Fraction
 from .blocks import BlockPartition, coefficient_matrix
 from .errors import CapacityError
 
-COLUMN_BUDGET = 30
-_STATE_LIMIT = 1 << 20  # live states of the counting DP
+_STATE_LIMIT = 1 << 20  # default budget of live states in the counting DP
 
 Number = int | Fraction
 
@@ -73,19 +72,19 @@ def ample_system(bp: BlockPartition) -> InequalitySystem:
     return InequalitySystem.make(list(cm.rows), [d] * cm.row_count, bp.b)
 
 
-def count_solutions(s: InequalitySystem, column_budget: int = COLUMN_BUDGET) -> int:
+def count_solutions(s: InequalitySystem, state_limit: int | None = None) -> int:
     """Exact number of x in {0,1}^ncols with C x > d componentwise.
 
     One dynamic program over the columns.  A state is the tuple of per-row
     partial sums of the integer-scaled rows, each capped at the least sum
     that satisfies its row, t_i = max(floor(d_i) + 1, 0); the answer is
     the number of assignments reaching the state t.  Counts are Python
-    ints, so they stay exact past 2^63.  More than _STATE_LIMIT live
-    states raises CapacityError, which no system of 20 columns or fewer
-    can reach.
+    ints, so they stay exact past 2^63.  More than state_limit live states
+    (default _STATE_LIMIT, which no system of 20 columns or fewer can
+    reach) raises CapacityError; the live states bound both time and
+    memory.
     """
-    if s.ncols > column_budget:
-        raise CapacityError(f"{s.ncols} columns exceeds the {column_budget}-column budget")
+    limit = _STATE_LIMIT if state_limit is None else state_limit
     rows, ds = _scaled_integer_rows(s)
     targets = tuple(max(math.floor(d) + 1, 0) for d in ds)
     left = [sum(row) for row in rows]  # row i's sum over the columns not yet processed
@@ -107,8 +106,8 @@ def count_solutions(s: InequalitySystem, column_budget: int = COLUMN_BUDGET) -> 
             up = tuple(min(v + c, t) for v, c, t in zip(state, col, targets))
             nxt[up] = nxt.get(up, 0) + n
         states = nxt
-        if len(states) > _STATE_LIMIT:
-            raise CapacityError(f"{len(states)} live counting states exceed {_STATE_LIMIT}")
+        if len(states) > limit:
+            raise CapacityError(f"{len(states)} live counting states exceed {limit}")
     return states.get(targets, 0)
 
 
@@ -178,13 +177,13 @@ def _decompose(s: InequalitySystem) -> tuple[InequalitySystem, int]:
         swaps += 1
 
 
-def _count_disjoint(s: InequalitySystem, column_budget: int = COLUMN_BUDGET) -> int:
+def _count_disjoint(s: InequalitySystem, state_limit: int | None = None) -> int:
     """Solutions of a system whose rows share no column: the product of the
     one-row counts, times 2 per all-zero column."""
     count = 1 << sum(1 for u in range(s.ncols) if all(row[u] == 0 for row in s.rows))
     for row, d in zip(s.rows, s.thresholds):
         entries = tuple(e for e in row if e != 0)
-        count *= count_solutions(InequalitySystem((entries,), (d,), len(entries)), column_budget)
+        count *= count_solutions(InequalitySystem((entries,), (d,), len(entries)), state_limit)
     return count
 
 
@@ -198,7 +197,7 @@ class BoundReport:
     swaps: int
 
 
-def decompose_and_bound(bp: BlockPartition, column_budget: int = COLUMN_BUDGET) -> BoundReport:
+def decompose_and_bound(bp: BlockPartition, state_limit: int | None = None) -> BoundReport:
     """Count ample subsets exactly and prove the 2^(b - (r+1)/2) lower bound.
 
     Pads the block coefficient system with zero columns up to one column
@@ -208,17 +207,17 @@ def decompose_and_bound(bp: BlockPartition, column_budget: int = COLUMN_BUDGET) 
     count and each padding column exactly doubles it, so the count of the
     final system divided by the padding factor bounds the original count
     from below.  The final rows share no column, so its count is the
-    product of one-row counts times 2 per empty column; column_budget
+    product of one-row counts times 2 per empty column; state_limit
     applies to each count_solutions call.
     """
     r = bp.r
     if r % 2 == 0:
         raise ValueError("decomposition bound needs odd group order")
     base = ample_system(bp)
-    exact = count_solutions(base, column_budget)
+    exact = count_solutions(base, state_limit)
     b_prime = sum(1 for row in base.rows for e in row if e != 0)
     s, swaps = _decompose(base.padded(b_prime - base.ncols))
-    final = _count_disjoint(s, column_budget)
+    final = _count_disjoint(s, state_limit)
     bound = 1 << (bp.b - (r + 1) // 2)
     if exact < bound:
         raise RuntimeError(

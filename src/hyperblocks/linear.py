@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import CapacityError
 from .hyperfields import HyperfieldCandidate, is_ample
@@ -50,30 +53,74 @@ class LinearSystem:
         return cls(n_vars, eqs)
 
 
+class _Tables(NamedTuple):
+    """What the linear layer reads of a candidate, built once per candidate."""
+
+    zero: int
+    prod: list[list[int]]  # (r+1) x (r+1): c * x, zero when either side is zero
+    add: list[list[int]]  # the candidate's add_table
+    ample: bool
+
+
+def _tables(h: HyperfieldCandidate) -> _Tables:
+    """The candidate's linear-layer tables, cached on it like add_table."""
+    cached = getattr(h, "_linear_tables", None)
+    if cached is None:
+        zero = h.zero
+        prod = [h.group.mul_row(c) + [zero] for c in range(zero)] + [[zero] * (zero + 1)]
+        cached = _Tables(zero, prod, h.add_table(), is_ample(h))
+        h._linear_tables = cached
+    return cached
+
+
 def _validate(h: HyperfieldCandidate, system: LinearSystem) -> None:
+    zero = h.zero
     for eq in system.equations:
         for c in eq:
-            if c > h.zero:
+            if c > zero:
                 raise ValueError(f"coefficient index {c} out of range for r={h.r}")
 
 
 def term_element(h: HyperfieldCandidate, coeff: int, value: int) -> int:
     """The element c * x; zero if either side is zero."""
-    if coeff == h.zero or value == h.zero:
-        return h.zero
-    return h.group.mul(coeff, value)
+    return _tables(h).prod[coeff][value]
+
+
+def _element_sum(t: _Tables, elements) -> int:
+    """Multivalued sum of single elements, folded left from {0}."""
+    add = t.add
+    total = 1 << t.zero
+    for e in elements:
+        out = 0
+        while total:
+            low = total & -total
+            out |= add[low.bit_length() - 1][e]
+            total ^= low
+        total = out
+    return total
 
 
 def set_sum(h: HyperfieldCandidate, masks) -> int:
     """Multivalued sum of a sequence of element sets; empty sum is {0}."""
-    total = 1 << h.zero
+    t = _tables(h)
+    total = 1 << t.zero
     for m in masks:
-        total = h.set_add(total, m)
+        total = h.set_add(total, m, t.add)
     return total
 
 
+def _term_sum(t: _Tables, eq: tuple[int, ...], assignment) -> int:
+    prod = t.prod
+    return _element_sum(t, (prod[c][x] for c, x in zip(eq, assignment)))
+
+
 def equation_sum(h: HyperfieldCandidate, eq: tuple[int, ...], assignment) -> int:
-    return set_sum(h, (1 << term_element(h, c, x) for c, x in zip(eq, assignment)))
+    return _term_sum(_tables(h), eq, assignment)
+
+
+def _holds(t: _Tables, system: LinearSystem, assignment) -> bool:
+    zero_bit = 1 << t.zero
+    return all(_term_sum(t, eq, assignment) & zero_bit for eq in system.equations)
 
 
 def check(h: HyperfieldCandidate, system: LinearSystem, assignment) -> bool:
@@ -81,12 +128,12 @@ def check(h: HyperfieldCandidate, system: LinearSystem, assignment) -> bool:
     if len(assignment) != system.n_vars:
         raise ValueError("assignment length does not match variable count")
     _validate(h, system)
-    zero_bit = 1 << h.zero
-    return all(equation_sum(h, eq, assignment) & zero_bit for eq in system.equations)
+    return _holds(_tables(h), system, assignment)
 
 
 def is_trivial(h: HyperfieldCandidate, assignment) -> bool:
-    return all(x == h.zero for x in assignment)
+    zero = h.zero
+    return all(x == zero for x in assignment)
 
 
 def brute_force_solve(
@@ -139,10 +186,15 @@ def _pick(mask: int, zero: int) -> int:
     raise SolverInvariantError("empty solution set")
 
 
-def _solution_set(h: HyperfieldCandidate, coeff: int, rest_mask: int) -> int:
+def _solution_set(h: HyperfieldCandidate, t: _Tables, coeff: int, rest_mask: int) -> int:
     """Values v with zero in coeff * v + rest: v ranges over -(rest)/coeff."""
-    g = h.group
-    return h.translate(h.translate(rest_mask, h.minus_one), g.inv(coeff))
+    row = t.prod[t.prod[h.minus_one][h.group.inv(coeff)]]
+    out = 0
+    while rest_mask:
+        low = rest_mask & -rest_mask
+        out |= 1 << row[low.bit_length() - 1]
+        rest_mask ^= low
+    return out
 
 
 def ample_solve(
@@ -160,14 +212,15 @@ def ample_solve(
     enters), and a residue where every variable is pinned three ways is
     small enough to search outright.
     """
-    if not is_ample(h):
+    t = _tables(h)
+    if not t.ample:
         raise ValueError("solver requires an ample hyperfield")
     n, k = system.n_vars, len(system.equations)
     if k >= n:
         raise ValueError(f"need fewer equations than variables, got {k} >= {n}")
     _validate(h, system)
-    g = h.group
-    zero = h.zero
+    prod, add = t.prod, t.add
+    zero = t.zero
     zero_bit = 1 << zero
 
     parent: dict[int, tuple[int, int]] = {}  # var -> (ancestor, factor)
@@ -178,7 +231,7 @@ def ample_solve(
             return x, 0
         p, f = parent[x]
         root, f2 = find(p)
-        resolved = (root, g.mul(f2, f))
+        resolved = (root, prod[f2][f])
         parent[x] = resolved
         return resolved
 
@@ -187,9 +240,9 @@ def ample_solve(
         consts = list(eq.consts)
         for var, coeff in eq.terms.items():
             root, factor = find(var)
-            coeff = g.mul(coeff, factor)
+            coeff = prod[coeff][factor]
             if root in assignment:
-                e = term_element(h, coeff, assignment[root])
+                e = prod[coeff][assignment[root]]
                 if e != zero:
                     consts.append(e)
                 continue
@@ -197,7 +250,7 @@ def ample_solve(
                 terms[root] = coeff
                 continue
             # duplicate variable: merge through the coefficient sum
-            merged = h.add(terms[root], coeff)
+            merged = add[terms[root]][coeff]
             if merged & zero_bit:
                 del terms[root]  # cancellation is available, take it
             else:
@@ -220,22 +273,22 @@ def ample_solve(
         acted = False
         for eq in list(equations):
             if not eq.terms:
-                if set_sum(h, (1 << c for c in eq.consts)) & zero_bit:
+                if _element_sum(t, eq.consts) & zero_bit:
                     equations.remove(eq)
                     acted = True
                     break
                 raise SolverInvariantError("constant equation misses zero")
             if len(eq.terms) == 1:
                 (var, coeff), = eq.terms.items()
-                rest = set_sum(h, (1 << c for c in eq.consts))
-                assignment[var] = _pick(_solution_set(h, coeff, rest), zero)
+                rest = _element_sum(t, eq.consts)
+                assignment[var] = _pick(_solution_set(h, t, coeff, rest), zero)
                 equations.remove(eq)
                 acted = True
                 break
             if len(eq.terms) == 2 and not eq.consts:
                 (v1, c1), (v2, c2) = sorted(eq.terms.items())
                 # zero in c1 x1 + c2 x2 exactly when x2 = -c1/c2 * x1
-                factor = g.mul(h.minus_one, g.mul(g.inv(c2), c1))
+                factor = prod[h.minus_one][prod[h.group.inv(c2)][c1]]
                 parent[v2] = (v1, factor)
                 equations.remove(eq)
                 acted = True
@@ -265,7 +318,7 @@ def ample_solve(
             for eq in mine:
                 equations.remove(eq)
             continue
-        _solve_pile(h, active, assignment, pile_budget)
+        _solve_pile(t, active, assignment, pile_budget)
         for eq in active:
             equations.remove(eq)
     else:
@@ -277,15 +330,13 @@ def ample_solve(
     for var in free:
         assignment[var] = 0
 
+    full = (zero_bit << 1) - 1
     for var, eqs in reversed(deferred):
-        mask = h.full_mask
+        mask = full
         for eq in eqs:
-            rest = set_sum(
-                h,
-                (1 << term_element(h, c, assignment[v]) for v, c in eq.terms.items() if v != var),
-            )
-            rest = h.set_add(rest, set_sum(h, (1 << c for c in eq.consts)))
-            mask &= _solution_set(h, eq.terms[var], rest)
+            rest = _element_sum(t, (prod[c][assignment[v]] for v, c in eq.terms.items() if v != var))
+            rest = h.set_add(rest, _element_sum(t, eq.consts), add)
+            mask &= _solution_set(h, t, eq.terms[var], rest)
         if not mask:
             raise SolverInvariantError("deferred variable has no consistent value")
         assignment[var] = _pick(mask, zero)
@@ -293,16 +344,16 @@ def ample_solve(
     result = []
     for var in range(n):
         root, factor = find(var)
-        value = assignment[root]
-        result.append(value if value == zero else g.mul(factor, value))
+        result.append(prod[factor][assignment[root]])
     solution = tuple(result)
-    if is_trivial(h, solution) or not check(h, system, solution):
+    # the solver's correctness gate; the system was validated on entry
+    if is_trivial(h, solution) or not _holds(t, system, solution):
         raise SolverInvariantError(f"solver produced an invalid assignment {solution}")
     return solution
 
 
 def _solve_pile(
-    h: HyperfieldCandidate,
+    t: _Tables,
     pile: list[_Equation],
     assignment: dict[int, int],
     budget: int,
@@ -311,16 +362,16 @@ def _solve_pile(
     equations; nonzero values are tried first, the all-zero assignment is
     the final resort and always works."""
     pile_vars = sorted({v for eq in pile for v in eq.terms})
-    domain = list(range(h.r)) + [h.zero]
-    total = (h.r + 1) ** len(pile_vars)
+    domain = list(range(t.zero + 1))  # zero, index r, comes last
+    total = (t.zero + 1) ** len(pile_vars)
     if total > budget:
         raise CapacityError(f"pile of {len(pile_vars)} variables exceeds the search budget")
-    zero_bit = 1 << h.zero
+    prod, zero_bit = t.prod, 1 << t.zero
     for values in product(domain, repeat=len(pile_vars)):
         trial = dict(zip(pile_vars, values))
         ok = True
         for eq in pile:
-            s = set_sum(h, (1 << term_element(h, c, trial[v]) for v, c in eq.terms.items()))
+            s = _element_sum(t, (prod[c][trial[v]] for v, c in eq.terms.items()))
             if not s & zero_bit:
                 ok = False
                 break
@@ -373,26 +424,46 @@ def check_fetvins(
     """Verify that every system with fewer equations than variables has a
     nontrivial solution, for all variable counts up to n_max.
 
-    Satisfying assignments of each normalized equation are precomputed as
-    bitsets; a system is solvable exactly when the intersection of its
-    equations' bitsets contains more than the all-zero assignment.
+    For each variable count n one zero-sum table, with an entry for every
+    element tuple (t_1, ..., t_n) saying whether zero lies in
+    t_1 + ... + t_n, is built from the add table by boolean matrix
+    products, in the left-fold order of set_sum.  An equation's term
+    elements c_i x_i come from the (r+1) x (r+1) product table, so the
+    bitset of assignments satisfying it is one gather from the zero-sum
+    table.  A system is solvable exactly when the intersection of its
+    equations' bitsets contains more than the all-zero assignment.  The
+    budget bounds assignments times equations and is checked before the
+    equations are listed or any table is built.  No array holds more than
+    (r+1)^(n+1) entries: the add table as bits has (r+1)^3, every other
+    array at most (r+1)^n.
     """
     r = h.r
     checked = 0
+    # sums[i, e]: whether e lies in t_1 + ... + t_{n-1}, rows i = (t_1, ..., t_{n-1}) row-major
+    sums = None
     for n in range(2, n_max + 1):
-        eqs = normalized_equations(h, n)
         total = (r + 1) ** n
-        if total * len(eqs) > budget:
-            raise CapacityError(f"{total * len(eqs)} equation evaluations exceed the budget")
-        assignments = list(product([h.zero] + list(range(r)), repeat=n))
+        n_eqs = sum((r + 1) ** j for j in range(n))  # len(normalized_equations(h, n))
+        if total * n_eqs > budget:
+            raise CapacityError(f"{total * n_eqs} equation evaluations exceed the budget")
+        eqs = normalized_equations(h, n)
+        if sums is None:
+            t = _tables(h)
+            # add_bits[e, x, f]: whether f lies in e + x
+            add_bits = np.array(
+                [[[m >> f & 1 for f in range(r + 1)] for m in row] for row in t.add], dtype=bool
+            )
+            # assignment digits run zero first, so assignment 0 is the all-zero one
+            terms = np.array(t.prod)[:, [t.zero] + list(range(r))]
+            sums = add_bits[t.zero]  # 0 + t_1
+        else:
+            sums = (sums @ add_bits.reshape(r + 1, -1)).reshape(-1, r + 1)
+        zero_sum = (sums @ add_bits[:, :, t.zero]).reshape((r + 1,) * n)
         sat = []
         for eq in eqs:
-            bits = 0
-            for i, a in enumerate(assignments):
-                if equation_sum(h, eq, a) & (1 << h.zero):
-                    bits |= 1 << i
-            sat.append(bits)
-        trivial_bit = 1  # assignments[0] is all-zero
+            bits = zero_sum[np.ix_(*terms[list(eq)])].ravel()
+            sat.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
+        trivial_bit = 1  # assignment 0 is all-zero
         for k in range(1, n):
             for combo in combinations_with_replacement(range(len(eqs)), k):
                 m = sat[combo[0]]

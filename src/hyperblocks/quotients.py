@@ -8,6 +8,7 @@ reading w + 1 classwise across each coset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CapacityError
 from .groups import AbelianGroup, _prime_factors
@@ -201,8 +202,10 @@ class FiniteField:
         return " + ".join(terms)
 
 
-def quotient_hyperfield(q: int, r: int) -> HyperfieldCandidate:
-    """GF(q) modulo its subgroup of r-th powers, for r dividing q - 1.
+@lru_cache(maxsize=4096)  # more than one quotient scan visits for any r
+def _quotient_data(q: int, r: int) -> tuple[AbelianGroup, tuple[int, ...], int, int]:
+    """(group, pi rows, -1, packed subgroup generator) of GF(q) modulo its
+    r-th powers.
 
     The class of a nonzero w is its discrete log modulo r; the addition
     row of a class collects the classes of w + 1 as w runs over the coset.
@@ -210,7 +213,6 @@ def quotient_hyperfield(q: int, r: int) -> HyperfieldCandidate:
     field = FiniteField(q)
     if r < 1 or (q - 1) % r:
         raise ValueError(f"need r dividing q - 1, got r={r}, q={q}")
-    group = AbelianGroup([r] if r > 1 else [])
     log = field.log
     rows = [0] * r
     for w in range(1, q):
@@ -218,13 +220,20 @@ def quotient_hyperfield(q: int, r: int) -> HyperfieldCandidate:
         if s:
             rows[log[w] % r] |= 1 << (log[s] % r)
     minus_one = log[field.minus_one()] % r
-    return HyperfieldCandidate(group, minus_one, tuple(rows))
+    group = AbelianGroup([r] if r > 1 else [])
+    return group, tuple(rows), minus_one, field.power(field.generator, r)
+
+
+def quotient_hyperfield(q: int, r: int) -> HyperfieldCandidate:
+    """GF(q) modulo its subgroup of r-th powers, for r dividing q - 1; a
+    fresh candidate on every call, since its status can change."""
+    group, rows, minus_one, _ = _quotient_data(q, r)
+    return HyperfieldCandidate(group, minus_one, rows)
 
 
 def subgroup_generator(q: int, r: int) -> int:
     """Packed generator of the r-th power subgroup used by the quotient."""
-    field = FiniteField(q)
-    return field.power(field.generator, r)
+    return _quotient_data(q, r)[3]
 
 
 def find_finite_quotient(h: HyperfieldCandidate, q_bound: int) -> tuple[int, int] | None:

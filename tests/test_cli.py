@@ -141,6 +141,15 @@ def test_verify_pi_source(capsys):
     assert entry["ample"] is True
 
 
+def test_group_alone_is_the_full_relation(capsys):
+    code, out, _ = run(capsys, "verify", "--group", "Z3")
+    assert code == 0
+    assert "blocks=ABCD: verified-hyperfield" in out
+    code, out, _ = run(capsys, "fetvins", "--group", "Z3")
+    assert code == 0
+    assert out.strip() == "all 257 systems solvable up to 3 variables"
+
+
 def test_verify_append_and_show(tmp_path, capsys):
     cat = tmp_path / "cat.jsonl"
     code, _, _ = run(
@@ -207,8 +216,9 @@ def test_count_z9_bound(capsys):
     assert (d["exact_count"], d["lower_bound"], d["b_prime"]) == (55709, 16384, 42)
 
 
-def test_count_z13_past_the_default_budget(capsys):
-    code, out, _ = run(capsys, "count", "--group", "Z13", "--budget", "35")
+def test_count_z13_within_the_default_budget(capsys):
+    # 35 columns; the DP peaks at 9,746 of the 2^20 live states allowed
+    code, out, _ = run(capsys, "count", "--group", "Z13")
     assert code == 0
     assert "exact=1598203438 lower bound=268435456 (b'=85, 50 swaps)" in out
 
@@ -233,9 +243,12 @@ def test_out_of_range_values_are_usage_errors(capsys, argv):
 
 
 def test_count_budget_applies_to_odd_order(capsys):
+    # --budget caps the live states of the counting DP; Z7 needs 35
     code, _, err = run(capsys, "count", "--group", "Z7", "--budget", "5")
     assert code == 3
-    assert "capacity" in err.lower()
+    assert "capacity" in err.lower() and "live counting states exceed 5" in err
+    code, out, _ = run(capsys, "count", "--group", "Z7", "--budget", "35")
+    assert code == 0 and "exact=612" in out
 
 
 def test_count_even_order_has_no_bound(capsys):

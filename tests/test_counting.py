@@ -97,11 +97,14 @@ def test_count_handles_fractional_entries():
     assert count_solutions(s) == brute_count(s)
 
 
-def test_count_column_budget():
-    s = InequalitySystem.make([], [], ncols=31)
+def test_count_state_budget(z7_blocks):
+    # columns are not limited: 31 empty columns keep one live state
+    assert count_solutions(InequalitySystem.make([], [], ncols=31)) == 1 << 31
+    # Z7's DP peaks at 35 live states
+    s = ample_system(z7_blocks)
     with pytest.raises(CapacityError):
-        count_solutions(s)
-    assert count_solutions(s, column_budget=31) == 1 << 31
+        count_solutions(s, state_limit=34)
+    assert count_solutions(s, state_limit=35) == 612
 
 
 def test_padding_doubles_per_zero_column(z3_blocks):
@@ -288,8 +291,8 @@ def test_disjoint_count_randomized():
 
 @pytest.mark.parametrize("spec", ["Z9", "Z3xZ3", "Z11"])
 def test_decompose_beyond_the_padded_column_budget(spec):
-    # the padded systems have 42, 45 and 61 columns, past COLUMN_BUDGET,
-    # but every count made is of the unpadded system or of one row
+    # the padded systems have 42, 45 and 61 columns, but every count made
+    # is of the unpadded system or of one row
     bp = compute_blocks(AbelianGroup.from_spec(spec), 0)
     rep = decompose_and_bound(bp)
     assert rep.b_prime > 30
@@ -297,11 +300,11 @@ def test_decompose_beyond_the_padded_column_budget(spec):
     assert rep.final_count == rep.lower_bound << (rep.b_prime - rep.b)
 
 
-def test_decompose_column_budget():
+def test_decompose_state_budget():
     bp = compute_blocks(AbelianGroup.from_spec("Z7"), 0)
     with pytest.raises(CapacityError):
-        decompose_and_bound(bp, column_budget=5)
-    assert decompose_and_bound(bp, column_budget=12).exact_count == 612
+        decompose_and_bound(bp, state_limit=5)
+    assert decompose_and_bound(bp, state_limit=35).exact_count == 612
 
 
 def test_decompose_rejects_even_order():

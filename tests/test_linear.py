@@ -1,9 +1,13 @@
 """Linear systems over hyperfields: the brute-force and structured solvers."""
 
+import functools
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperblocks import (
     AbelianGroup,
@@ -13,7 +17,9 @@ from hyperblocks import (
     LinearSystem,
     ample_solve,
     brute_force_solve,
+    abelian_groups_up_to,
     build_candidate,
+    certified_candidates,
     check,
     check_fetvins,
     compute_blocks,
@@ -23,10 +29,12 @@ from hyperblocks import (
     sign_hyperfield,
     verify_axioms,
 )
+from hyperblocks import linear
 from hyperblocks.linear import (
     equation_sum,
     is_trivial,
     iter_normalized_systems,
+    normalized_equations,
     term_element,
 )
 from conftest import from_labels
@@ -197,7 +205,108 @@ def test_ample_solve_agrees_with_brute_force(z3_named):
         assert check(h, system, structured) and check(h, system, brute)
 
 
+@functools.lru_cache(maxsize=None)
+def ample_hyperfields_up_to_5():
+    return tuple(
+        h
+        for g in abelian_groups_up_to(5)
+        for m1 in g.involution_candidates()
+        for _, h in certified_candidates(compute_blocks(g, m1))
+    )
+
+
+def zero_in_sum(h, eq, assignment):
+    """Whether 0 lies in sum c_i x_i, folded left from {0} one h.add at a time."""
+    zero = h.zero
+    total = 1 << zero
+    for c, x in zip(eq, assignment):
+        term = zero if zero in (c, x) else h.group.mul(c, x)
+        total = functools.reduce(int.__or__, (h.add(e, term) for e in h.elements_of(total)), 0)
+    return bool(total >> zero & 1)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_ample_solve_against_brute_force_on_drawn_systems(data):
+    hs = ample_hyperfields_up_to_5()
+    h = hs[data.draw(st.integers(0, len(hs) - 1), label="hyperfield")]
+    n = data.draw(st.integers(2, 4), label="n")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    coeff = st.integers(0, h.r)  # h.r is the zero slot
+    eqs = data.draw(st.lists(st.lists(coeff, min_size=n, max_size=n), min_size=k, max_size=k))
+    system = LinearSystem.make(eqs, n_vars=n)
+    assert brute_force_solve(h, system) is not None
+    sol = ample_solve(h, system)
+    assert len(sol) == n and any(x != h.zero for x in sol)
+    assert all(zero_in_sum(h, eq, sol) for eq in system.equations)
+
+
 # -- the FETVINS check ------------------------------------------------------------
+
+
+def fetvins_reference(h, n_max):
+    """check_fetvins as a loop over every assignment of every equation."""
+    r, zero = h.r, h.zero
+    checked = 0
+    for n in range(2, n_max + 1):
+        eqs = normalized_equations(h, n)
+        assignments = list(itertools.product([zero] + list(range(r)), repeat=n))
+        sat = [
+            sum(1 << i for i, a in enumerate(assignments) if zero_in_sum(h, eq, a)) for eq in eqs
+        ]
+        for k in range(1, n):
+            for combo in itertools.combinations_with_replacement(range(len(eqs)), k):
+                checked += 1
+                if not functools.reduce(int.__and__, (sat[i] for i in combo)) & ~1:
+                    return FetvinsReport(False, n_max, checked, LinearSystem(n, tuple(eqs[i] for i in combo)))
+    return FetvinsReport(True, n_max, checked, None)
+
+
+def block_unions_up_to_3():
+    for g in abelian_groups_up_to(3):
+        for m1 in g.involution_candidates():
+            bp = compute_blocks(g, m1)
+            for mask in range(1 << bp.b):
+                yield build_candidate(bp, mask)
+
+
+def test_check_fetvins_matches_reference_on_small_block_unions():
+    reports = [(check_fetvins(h, 3), fetvins_reference(h, 3)) for h in block_unions_up_to_3()]
+    assert len(reports) == 26
+    assert all(got == want for got, want in reports)
+    assert sum(not got.ok for got, _ in reports) == 5
+
+
+@settings(max_examples=20)
+@given(data=st.data())
+def test_check_fetvins_matches_reference_on_drawn_relations(data):
+    spec = data.draw(st.sampled_from(["Z4", "Z2xZ2", "Z5"]), label="group")
+    g = AbelianGroup.from_spec(spec)
+    m1 = data.draw(st.sampled_from(g.involution_candidates()), label="minus_one")
+    bits = data.draw(st.text("01", min_size=g.order**2, max_size=g.order**2), label="pi")
+    h = HyperfieldCandidate.from_pi_bits(g, m1, bits)
+    assert check_fetvins(h, 3) == fetvins_reference(h, 3)
+
+
+def test_check_fetvins_budget_refuses_before_building_anything(monkeypatch, z3_named):
+    # the budget is assignments times normalized equations, exact at the edge
+    h = z3_named["BC"]
+    edge = 4**2 * len(normalized_equations(h, 2))
+    assert check_fetvins(h, 2, budget=edge).ok
+    with pytest.raises(CapacityError):
+        check_fetvins(h, 2, budget=edge - 1)
+
+    def built(*args):
+        raise AssertionError("work done before the budget check")
+
+    monkeypatch.setattr(linear, "_tables", built)
+    monkeypatch.setattr(linear, "normalized_equations", built)
+    g = AbelianGroup.from_spec("Z1000")
+    h = HyperfieldCandidate(g, 0, ((1 << 1000) - 1,) * 1000)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        check_fetvins(h, 3, budget=100)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_normalized_system_counts(z3_named):

@@ -9,7 +9,10 @@ from hyperblocks import (
     HyperfieldCandidate,
     NONQUOTIENT,
     QUOTIENT,
+    STATUS_UNVERIFIED,
+    STATUS_VERIFIED,
     UNKNOWN,
+    QuotientStatusReport,
     canonical_form,
     excludes_infinite_quotient,
     find_finite_quotient,
@@ -19,6 +22,7 @@ from hyperblocks import (
     sign_hyperfield,
     verify_axioms,
 )
+from hyperblocks import quotients
 from hyperblocks.quotients import default_q_bound, subgroup_generator
 from conftest import from_labels
 
@@ -232,6 +236,26 @@ def test_quotient_status_non_cyclic_group():
     # no finite field has a non-cyclic unit group, so the scan finds nothing
     assert rep.status in (NONQUOTIENT, UNKNOWN)
     assert rep.q is None
+
+
+def test_quotient_scan_builds_each_field_once(monkeypatch, z3_named):
+    quotients._quotient_data.cache_clear()
+    built = []
+    field = quotients.FiniteField
+    monkeypatch.setattr(quotients, "FiniteField", lambda q: built.append(q) or field(q))
+    first = quotient_status(z3_named["BC"])
+    # every q <= 81 with 3 | q - 1 that is a prime power, built once each
+    assert built == [4, 7, 13, 16, 19, 25, 31, 37, 43, 49, 61, 64, 67, 73, 79]
+    assert quotient_status(z3_named["BC"]) == first
+    assert quotient_status(z3_named["BCD"]) == QuotientStatusReport(QUOTIENT, 13, 8, 81, True, True)
+    assert len(built) == 15
+    # the candidate is fresh on every call, so a status set on one stays there
+    h, again = quotient_hyperfield(13, 3), quotient_hyperfield(13, 3)
+    assert h == again and h is not again
+    verify_axioms(h)
+    assert h.status == STATUS_VERIFIED and again.status == STATUS_UNVERIFIED
+    gf13 = field(13)
+    assert subgroup_generator(13, 3) == gf13.power(gf13.generator, 3) == 8
 
 
 def test_quotient_status_respects_small_bound(z3_named):

@@ -17,8 +17,6 @@ oracle for arbitrary relations.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -240,27 +238,41 @@ class AxiomCircuit:
         return bools[:, :n].astype(bool)
 
 
-def _row_sums(bp: BlockPartition, bits: np.ndarray, masks: bool) -> np.ndarray:
-    """Per pi row and subset: the row's y bitmask if masks, else its weight."""
+def _row_sums(bp: BlockPartition, bits: np.ndarray) -> np.ndarray:
+    """Per pi row and subset: the row's weight."""
     r = bp.r
-    out = np.zeros((r, bits.shape[1]), dtype=np.int64 if masks else np.int16)
+    out = np.zeros((r, bits.shape[1]), dtype=np.int16)
     for i, block in enumerate(bp.blocks):
         for code in block:
-            out[code // r] += bits[i] * np.int64(1 << code % r) if masks else bits[i]
+            out[code // r] += bits[i]
     return out
+
+
+def shard_span(b: int, i: int, n: int) -> tuple[int, int]:
+    """Half-open Gray-code positions of the i-th of n contiguous shards of 2^b subsets."""
+    if not 0 <= i < n:
+        raise ValueError(f"shard index {i} out of range for {n} shards")
+    total = 1 << b
+    return total * i // n, total * (i + 1) // n
 
 
 def _chunks(
     bp: BlockPartition, span: tuple[int, int] | None
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(masks t ^ (t >> 1), block bits as 0/1 rows, ample screen) per chunk of positions t."""
-    lo, hi = span if span is not None else (0, 1 << bp.b)
+    """(masks t ^ (t >> 1), block bits as 0/1 rows, ample screen) per chunk of positions t.
+
+    span is a half-open range of positions, all of them by default;
+    ValueError unless 0 <= lo <= hi <= 2^b.
+    """
+    lo, hi = span if span is not None else shard_span(bp.b, 0, 1)
+    if not 0 <= lo <= hi <= 1 << bp.b:
+        raise ValueError(f"span ({lo}, {hi}) is not within [0, 2^{bp.b}]")
     for start in range(lo, hi, 1 << CHUNK_BITS):
         t = np.arange(start, min(start + (1 << CHUNK_BITS), hi), dtype=np.uint64)
         masks = t ^ (t >> np.uint64(1))
         octets = masks.astype("<u8").view(np.uint8).reshape(-1, 8)[:, : -(-bp.b // 8)]
         bits = np.unpackbits(octets, axis=1, bitorder="little")[:, : bp.b].T.copy()
-        yield masks, bits, 2 * _row_sums(bp, bits, False).min(axis=0) > bp.r
+        yield masks, bits, 2 * _row_sums(bp, bits).min(axis=0) > bp.r
 
 
 def _survivors(
@@ -282,10 +294,11 @@ def certified_candidates(
     bp: BlockPartition, span: tuple[int, int] | None = None
 ) -> Iterator[tuple[int, HyperfieldCandidate]]:
     """Stream (subset mask, candidate) for every subset passing the ample screen."""
-    for masks, bits, _ in _survivors(bp, MODE_AMPLE_ONLY, span):
-        rows = _row_sums(bp, bits, True).T.tolist()
-        for mask, row in zip(masks.tolist(), rows):
-            yield mask, HyperfieldCandidate(bp.group, bp.minus_one, tuple(row), STATUS_CERTIFIED)
+    for masks, _, _ in _survivors(bp, MODE_AMPLE_ONLY, span):
+        for mask in masks.tolist():
+            h = build_candidate(bp, mask)
+            h.status = STATUS_CERTIFIED
+            yield mask, h
 
 
 def enumerate_subsets(
@@ -302,7 +315,8 @@ def enumerate_subsets(
     without triple checks.  The kept subsets are classed by block-orbit
     key, min over automorphisms s fixing -1 of the sum of 2^(b-1-s(i))
     over the blocks i of the mask, a chunk at a time.  span selects a
-    half-open range of Gray-code positions for sharding.
+    half-open range of Gray-code positions for sharding (see shard_span);
+    ValueError unless 0 <= lo <= hi <= 2^b.
     """
     if mode not in (MODE_FULL, MODE_AMPLE_ONLY):
         raise ValueError(f"unknown census mode {mode!r}")
@@ -310,7 +324,8 @@ def enumerate_subsets(
     if bp.b > cap:
         raise CapacityError(f"2^{bp.b} subsets exceeds the 2^{cap} budget")
     weights = np.ldexp(1.0, bp.b - 1 - block_permutations(bp))
-    lo, hi = span if span is not None else (0, 1 << bp.b)
+    if span is None:
+        span = shard_span(bp.b, 0, 1)
     found = ample_found = 0
     classes: dict[int, list[int]] = {}  # block-orbit key -> [members, least mask, ample]
     for masks, bits, ample in _survivors(bp, mode, span):
@@ -331,14 +346,16 @@ def enumerate_subsets(
             slot[0] += n
             slot[1] = min(slot[1], mask)
 
+    shifts = [bp.b - 1 - i for i in bp.pair_to_block]  # key bit of each pi bit
+
     def canonical_pi(key: int) -> str:
-        return build_candidate(bp, int(f"{key:0{bp.b}b}"[::-1], 2)).pi_bits()
+        return "".join("01"[key >> shift & 1] for shift in shifts)
 
     return Census(
         bp.group,
         bp.minus_one,
         mode,
-        hi - lo,
+        span[1] - span[0],
         found,
         ample_found,
         tuple(
@@ -385,23 +402,17 @@ def enumerate_sharded(
     budget_bits: int = SUBSET_BUDGET_BITS,
     threads: int = 1,
 ) -> Census:
-    """Full-range census split into contiguous shards, one per worker thread, and merged.
+    """Full-range census run as contiguous shard_span shards, one after another, and merged.
 
-    The worker count is capped at os.cpu_count() and at 2^b; the census is
-    the same for any count.
+    threads is the shard count, capped at 2^b; the census is the same for
+    any count.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    total = 1 << bp.b
-    n = min(threads, os.cpu_count() or 1, total)
-    if n == 1:
-        return enumerate_subsets(bp, mode, budget_bits)
-    bounds = [(total * i // n, total * (i + 1) // n) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        parts = list(
-            pool.map(lambda s: enumerate_subsets(bp, mode, budget_bits, span=s), bounds)
-        )
-    return merge_censuses(parts)
+    n = min(threads, 1 << bp.b)
+    return merge_censuses(
+        [enumerate_subsets(bp, mode, budget_bits, shard_span(bp.b, i, n)) for i in range(n)]
+    )
 
 
 @dataclass(frozen=True)

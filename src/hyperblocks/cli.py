@@ -33,8 +33,8 @@ from .census import (
     MODE_AMPLE_ONLY,
     MODE_FULL,
     census_all_minus_ones,
-    enumerate_sharded,
     enumerate_subsets,
+    shard_span,
 )
 from .counting import (
     ample_system,
@@ -248,38 +248,27 @@ def _int_at_least(low: int):
     return parse
 
 
-def _parse_shard(text: str, parser) -> tuple[int, int]:
+def _shard_span(text: str, parser, b: int) -> tuple[int, int]:
     try:
         i, n = text.split("/")
         i, n = int(i), int(n)
     except ValueError:
         parser.error(f"--shard wants I/N, got {text!r}")
-    if not 0 <= i < n:
-        parser.error(f"shard index {i} out of range for {n} shards")
-    return i, n
+    try:
+        return shard_span(b, i, n)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def cmd_census(args, parser) -> int:
     group = _group(args, parser)
     mode = MODE_AMPLE_ONLY if args.mode == "ample-only" else MODE_FULL
-    if args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
-    if args.shard and args.minus_one is None:
-        parser.error("--shard requires an explicit --minus-one")
-    if args.minus_one is None:
+    if args.minus_one is None and not args.shard:
         censuses = census_all_minus_ones(group, mode, args.budget)
     else:
-        minus_one = _minus_one(args, parser, group)
-        bp = compute_blocks(group, minus_one)
-        if args.shard:
-            i, n = _parse_shard(args.shard, parser)
-            total = 1 << bp.b
-            span = (total * i // n, total * (i + 1) // n)
-            censuses = [enumerate_subsets(bp, mode, args.budget, span=span)]
-        elif args.threads > 1:
-            censuses = [enumerate_sharded(bp, mode, args.budget, threads=args.threads)]
-        else:
-            censuses = [enumerate_subsets(bp, mode, args.budget)]
+        bp = compute_blocks(group, _minus_one(args, parser, group))
+        span = _shard_span(args.shard, parser, bp.b) if args.shard else None
+        censuses = [enumerate_subsets(bp, mode, args.budget, span=span)]
     if args.format == "json":
         payload = [_census_to_dict(c) for c in censuses]
         _emit_json(args, payload[0] if len(payload) == 1 else payload)
@@ -623,9 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=["full", "ample-only"], default="full")
     sp.add_argument(
         "--budget", type=_int_at_least(0), default=30, help="max block count, as bits"
-    )
-    sp.add_argument(
-        "--threads", type=int, default=1, help="worker threads (>= 1), capped at the core count"
     )
     sp.add_argument("--shard", help="I/N: run only the I-th of N contiguous spans")
     _add_common(sp)

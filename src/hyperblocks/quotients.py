@@ -236,6 +236,14 @@ def subgroup_generator(q: int, r: int) -> int:
     return _quotient_data(q, r)[3]
 
 
+@lru_cache(maxsize=4096)
+def _quotient_form(q: int, r: int) -> str:
+    """canonical_form of GF(q) modulo its r-th powers, computed once per (q, r)."""
+    from .census import canonical_form
+
+    return canonical_form(quotient_hyperfield(q, r))
+
+
 def find_finite_quotient(h: HyperfieldCandidate, q_bound: int) -> tuple[int, int] | None:
     """Least prime power q <= q_bound with GF(q)/(r-th powers) isomorphic
     to h, as (q, subgroup generator); None if the scan comes up empty.
@@ -251,10 +259,7 @@ def find_finite_quotient(h: HyperfieldCandidate, q_bound: int) -> tuple[int, int
     for q in range(2, q_bound + 1):
         if (q - 1) % r or _is_prime_power(q) is None:
             continue
-        cand = quotient_hyperfield(q, r)
-        if cand.minus_one != h.minus_one:
-            continue
-        if canonical_form(cand) == target:
+        if _quotient_data(q, r)[2] == h.minus_one and _quotient_form(q, r) == target:
             return q, subgroup_generator(q, r)
     return None
 

@@ -17,6 +17,7 @@ from hyperblocks import (
     enumerate_subsets,
     is_ample,
     merge_censuses,
+    shard_span,
     verify_all_subsets,
     verify_axioms,
 )
@@ -167,8 +168,36 @@ def test_span_merge_equals_whole(z3_blocks):
     assert merge_censuses(parts) == whole
 
 
+def test_shard_spans_tile_the_gray_range():
+    for b, n in [(0, 1), (4, 1), (4, 3), (4, 16), (12, 7)]:
+        spans = [shard_span(b, i, n) for i in range(n)]
+        assert spans[0][0] == 0 and spans[-1][1] == 1 << b
+        assert all(lo < hi == nxt for (lo, hi), (nxt, _) in zip(spans, spans[1:]))
+    for i, n in [(-1, 3), (3, 3), (0, 0)]:
+        with pytest.raises(ValueError):
+            shard_span(4, i, n)
+
+
+def test_spans_outside_the_gray_range_are_refused(z3_blocks):
+    # Z3 has b = 4, so positions run over [0, 16)
+    for span in [(0, 64), (9, 3), (-1, 4), (16, 17)]:
+        for mode in (MODE_FULL, MODE_AMPLE_ONLY):
+            with pytest.raises(ValueError):
+                enumerate_subsets(z3_blocks, mode, span=span)
+        with pytest.raises(ValueError):
+            list(certified_candidates(z3_blocks, span))
+    assert enumerate_subsets(z3_blocks, span=(0, 16)) == enumerate_subsets(z3_blocks)
+    assert len(list(certified_candidates(z3_blocks, (0, 16)))) == 6
+    for k in (0, 7, 16):
+        empty = enumerate_subsets(z3_blocks, span=(k, k))
+        assert empty.summary() == "subsets=0 hyperfields=0 classes=0 ample=0"
+        assert list(certified_candidates(z3_blocks, (k, k))) == []
+
+
 def test_sharded_matches_serial(z3_blocks, z7_blocks):
     assert enumerate_sharded(z3_blocks, threads=3) == enumerate_subsets(z3_blocks)
+    # more shards than the 16 subsets: one subset per shard
+    assert enumerate_sharded(z3_blocks, threads=1000) == enumerate_subsets(z3_blocks)
     whole = enumerate_subsets(z7_blocks, mode=MODE_AMPLE_ONLY)
     assert enumerate_sharded(z7_blocks, mode=MODE_AMPLE_ONLY, threads=4) == whole
 
@@ -177,25 +206,6 @@ def test_sharded_rejects_fewer_than_one_thread(z3_blocks):
     for threads in (0, -3):
         with pytest.raises(ValueError):
             enumerate_sharded(z3_blocks, threads=threads)
-
-
-def test_sharded_workers_capped_at_cpu_count(z3_blocks, monkeypatch):
-    import hyperblocks.census as census
-
-    started = []
-
-    class Recording(census.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(census, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
-    assert enumerate_sharded(z3_blocks, threads=1000) == enumerate_subsets(z3_blocks)
-    assert started == [2]
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 1)
-    assert enumerate_sharded(z3_blocks, threads=1000) == enumerate_subsets(z3_blocks)
-    assert started == [2]
 
 
 def test_census_all_minus_ones():

@@ -82,10 +82,18 @@ def test_census_all_minus_ones(capsys):
     assert out.count("subsets=32") == 2
 
 
-def test_census_sharded_threads_match(capsys):
-    _, serial, _ = run(capsys, "census", "--group", "Z5")
-    _, threaded, _ = run(capsys, "census", "--group", "Z5", "--threads", "3")
-    assert serial == threaded
+def test_census_shards_sum_to_the_whole(capsys):
+    _, out, _ = run(capsys, "census", "--group", "Z5", "--format", "json")
+    whole = {c["canonical_pi"]: c["members"] for c in json.loads(out)["classes"]}
+    summed = {}
+    for i in range(3):
+        code, out, _ = run(
+            capsys, "census", "--group", "Z5", "--shard", f"{i}/3", "--format", "json"
+        )
+        assert code == 0
+        for c in json.loads(out)["classes"]:
+            summed[c["canonical_pi"]] = summed.get(c["canonical_pi"], 0) + c["members"]
+    assert summed == whole
 
 
 def test_census_shard_spans(capsys):
@@ -102,12 +110,18 @@ def test_census_shard_spans(capsys):
     assert examined == 16
 
 
-def test_census_threads_below_one_is_usage_error(capsys):
-    for value in ("0", "-2"):
+def test_census_shard_resolves_minus_one(capsys):
+    code, out, _ = run(capsys, "census", "--group", "Z5", "--shard", "0/2")
+    assert code == 0
+    assert "subsets=64 " in out  # half of Z5's 2^7 subsets
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "census", "--group", "Z4", "--shard", "0/2")
+    assert exc.value.code == 2
+    assert "--minus-one is ambiguous for Z4; candidates: 0, 2" in capsys.readouterr().err
+    for argv in (["--shard", "2/2"], ["--shard", "1/x"], ["--threads", "2"]):
         with pytest.raises(SystemExit) as exc:
-            main(["census", "--group", "Z5", "--threads", value])
+            main(["census", "--group", "Z5", *argv])
         assert exc.value.code == 2
-    assert "--threads must be >= 1" in capsys.readouterr().err
 
 
 def test_census_budget_exit_code(capsys):

@@ -258,6 +258,22 @@ def test_quotient_scan_builds_each_field_once(monkeypatch, z3_named):
     assert subgroup_generator(13, 3) == gf13.power(gf13.generator, 3) == 8
 
 
+def test_quotient_scan_forms_each_field_once(monkeypatch, z3_named):
+    import hyperblocks.census as census
+
+    quotients._quotient_form.cache_clear()
+    # BC is a nonquotient, so its scan forms every GF(q)/(cubes), q <= 81
+    assert quotient_status(z3_named["BC"]).status == NONQUOTIENT
+    form, calls = census.canonical_form, []
+    monkeypatch.setattr(
+        census, "canonical_form", lambda h, autos=None: calls.append(h) or form(h, autos)
+    )
+    for h in z3_named.values():
+        calls.clear()
+        quotient_status(h)
+        assert len(calls) == 1 and calls[0] is h
+
+
 def test_quotient_status_respects_small_bound(z3_named):
     rep = quotient_status(z3_named["BCD"], q_bound=10)
     # 13 lies beyond the bound and the scan is not definitive

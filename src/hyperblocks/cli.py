@@ -145,8 +145,8 @@ def _candidate_summary(h: HyperfieldCandidate) -> dict:
     d = candidate_to_dict(h)
     d["group_spec"] = h.group.spec_string()
     d["minus_one_name"] = h.group.element_name(h.minus_one)
-    if is_union_of_blocks(h):
-        bp = compute_blocks(h.group, h.minus_one)
+    bp = compute_blocks(h.group, h.minus_one)
+    if is_union_of_blocks(h, bp):
         d["blocks"] = _mask_labels(block_subset_of(h, bp))
     else:
         d["blocks"] = None

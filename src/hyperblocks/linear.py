@@ -9,6 +9,7 @@ without exhaustive search over full assignments.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple
@@ -162,18 +163,9 @@ def brute_force_solve(
 # -- structured solver ---------------------------------------------------------
 
 
-class _Equation:
-    """Sparse working form: coefficient per root variable plus the fixed
-    elements contributed by variables assigned along the way."""
-
-    __slots__ = ("terms", "consts")
-
-    def __init__(self, terms: dict[int, int], consts: list[int]):
-        self.terms = terms
-        self.consts = consts
-
-    def weight(self) -> int:
-        return len(self.terms) + len(self.consts)
+# a working equation: the coefficient of each root variable, and the fixed
+# elements contributed by variables assigned along the way
+_Eq = tuple[dict[int, int], list[int]]
 
 
 def _pick(mask: int, zero: int) -> int:
@@ -197,9 +189,7 @@ def _solution_set(h: HyperfieldCandidate, t: _Tables, coeff: int, rest_mask: int
     return out
 
 
-def ample_solve(
-    h: HyperfieldCandidate, system: LinearSystem, pile_budget: int = PILE_BUDGET
-) -> tuple[int, ...]:
+def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]:
     """Nontrivial solution of a system with fewer equations than variables.
 
     Reduction rules shrink the system: one-term equations pin a variable,
@@ -235,10 +225,10 @@ def ample_solve(
         parent[x] = resolved
         return resolved
 
-    def normalize(eq: _Equation) -> None:
+    def normalize(eq: _Eq) -> _Eq:
         terms: dict[int, int] = {}
-        consts = list(eq.consts)
-        for var, coeff in eq.terms.items():
+        consts = list(eq[1])
+        for var, coeff in eq[0].items():
             root, factor = find(var)
             coeff = prod[coeff][factor]
             if root in assignment:
@@ -255,74 +245,54 @@ def ample_solve(
                 del terms[root]  # cancellation is available, take it
             else:
                 terms[root] = (merged & -merged).bit_length() - 1
-        eq.terms, eq.consts = terms, consts
+        return terms, consts
 
-    equations: list[_Equation] = []
-    for eq in system.equations:
-        terms = {v: c for v, c in enumerate(eq) if c != zero}
-        if terms:
-            equations.append(_Equation(terms, []))
+    pending = [({v: c for v, c in enumerate(eq) if c != zero}, []) for eq in system.equations]
+    deferred = []  # (variable, its residue equations), unwound in reverse
 
-    deferred: list[tuple[int, list[_Equation]]] = []  # unwound in reverse
-
-    max_rounds = 50 + 5 * (n + k)
-    for _ in range(max_rounds):
-        for eq in equations:
-            normalize(eq)
-
-        acted = False
-        for eq in list(equations):
-            if not eq.terms:
-                if _element_sum(t, eq.consts) & zero_bit:
-                    equations.remove(eq)
-                    acted = True
-                    break
-                raise SolverInvariantError("constant equation misses zero")
-            if len(eq.terms) == 1:
-                (var, coeff), = eq.terms.items()
-                rest = _element_sum(t, eq.consts)
+    # Every pass but the last drops an equation or settles the variables
+    # of a pile, so at most n + k + 1 passes run.
+    while True:
+        kept = []
+        for eq in pending:
+            terms, consts = normalize(eq)
+            if len(terms) == 2 and consts:
+                # anchor the lower variable, which leaves a pin of the other
+                assignment[min(terms)] = 0
+                terms, consts = normalize((terms, consts))
+            if not terms:
+                if not _element_sum(t, consts) & zero_bit:
+                    raise SolverInvariantError("constant equation misses zero")
+            elif len(terms) == 1:
+                (var, coeff), = terms.items()
+                rest = _element_sum(t, consts)
                 assignment[var] = _pick(_solution_set(h, t, coeff, rest), zero)
-                equations.remove(eq)
-                acted = True
-                break
-            if len(eq.terms) == 2 and not eq.consts:
-                (v1, c1), (v2, c2) = sorted(eq.terms.items())
+            elif len(terms) == 2 and not consts:
+                (v1, c1), (v2, c2) = sorted(terms.items())
                 # zero in c1 x1 + c2 x2 exactly when x2 = -c1/c2 * x1
                 factor = prod[h.minus_one][prod[h.group.inv(c2)][c1]]
                 parent[v2] = (v1, factor)
-                equations.remove(eq)
-                acted = True
-                break
-            if len(eq.terms) == 2:
-                # anchor the lower variable; the next round pins the other
-                var = min(eq.terms)
-                assignment[var] = 0
-                acted = True
-                break
-        if acted:
+            else:
+                kept.append((terms, consts))
+        dropped = len(kept) < len(pending)
+        pending = kept
+        if dropped:
             continue
 
-        # only equations of weight >= 3 remain
-        active = [eq for eq in equations if len(eq.terms) == 3 and not eq.consts]
-        if not active:
+        # only equations of weight >= 3 remain, each normalized in this pass
+        residue = [eq for eq in pending if len(eq[0]) == 3 and not eq[1]]
+        if not residue:
             break
-        occurrences: dict[int, int] = {}
-        for eq in active:
-            for var in eq.terms:
-                occurrences[var] = occurrences.get(var, 0) + 1
-        light = sorted(v for v, cnt in occurrences.items() if cnt <= 2)
+        occurrences = Counter(v for terms, _ in residue for v in terms)
+        light = [v for v, cnt in occurrences.items() if cnt <= 2]
         if light:
-            var = light[0]
-            mine = [eq for eq in active if var in eq.terms]
+            var = min(light)
+            mine = [eq for eq in residue if var in eq[0]]
             deferred.append((var, mine))
-            for eq in mine:
-                equations.remove(eq)
-            continue
-        _solve_pile(t, active, assignment, pile_budget)
-        for eq in active:
-            equations.remove(eq)
-    else:
-        raise SolverInvariantError("reduction did not converge")
+            pending = [eq for eq in pending if eq not in mine]
+        else:
+            # the pile's equations turn constant and drop in the next pass
+            _solve_pile(t, residue, assignment)
 
     # equations still present all have weight >= 4 and at least three
     # variable terms; nonzero defaults satisfy them
@@ -330,13 +300,11 @@ def ample_solve(
     for var in free:
         assignment[var] = 0
 
-    full = (zero_bit << 1) - 1
     for var, eqs in reversed(deferred):
-        mask = full
-        for eq in eqs:
-            rest = _element_sum(t, (prod[c][assignment[v]] for v, c in eq.terms.items() if v != var))
-            rest = h.set_add(rest, _element_sum(t, eq.consts), add)
-            mask &= _solution_set(h, t, eq.terms[var], rest)
+        mask = (zero_bit << 1) - 1  # every element
+        for terms, _ in eqs:
+            rest = _element_sum(t, (prod[c][assignment[v]] for v, c in terms.items() if v != var))
+            mask &= _solution_set(h, t, terms[var], rest)
         if not mask:
             raise SolverInvariantError("deferred variable has no consistent value")
         assignment[var] = _pick(mask, zero)
@@ -352,30 +320,21 @@ def ample_solve(
     return solution
 
 
-def _solve_pile(
-    t: _Tables,
-    pile: list[_Equation],
-    assignment: dict[int, int],
-    budget: int,
-) -> None:
+def _solve_pile(t: _Tables, pile: list[_Eq], assignment: dict[int, int]) -> None:
     """Exhaust a residue where every variable meets three or more
     equations; nonzero values are tried first, the all-zero assignment is
     the final resort and always works."""
-    pile_vars = sorted({v for eq in pile for v in eq.terms})
-    domain = list(range(t.zero + 1))  # zero, index r, comes last
+    pile_vars = sorted({v for terms, _ in pile for v in terms})
     total = (t.zero + 1) ** len(pile_vars)
-    if total > budget:
+    if total > PILE_BUDGET:
         raise CapacityError(f"pile of {len(pile_vars)} variables exceeds the search budget")
     prod, zero_bit = t.prod, 1 << t.zero
-    for values in product(domain, repeat=len(pile_vars)):
+    for values in product(range(t.zero + 1), repeat=len(pile_vars)):  # zero, index r, comes last
         trial = dict(zip(pile_vars, values))
-        ok = True
-        for eq in pile:
-            s = _element_sum(t, (prod[c][trial[v]] for v, c in eq.terms.items()))
-            if not s & zero_bit:
-                ok = False
-                break
-        if ok:
+        if all(
+            _element_sum(t, (prod[c][trial[v]] for v, c in terms.items())) & zero_bit
+            for terms, _ in pile
+        ):
             assignment.update(trial)
             return
     raise SolverInvariantError("pile admits no assignment, not even zero")

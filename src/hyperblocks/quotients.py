@@ -53,13 +53,6 @@ class FiniteField:
 
     # -- packed polynomial arithmetic --
 
-    def _digits(self, a: int) -> list[int]:
-        p, out = self.p, []
-        for _ in range(self.k):
-            out.append(a % p)
-            a //= p
-        return out
-
     def _pack(self, digits: list[int]) -> int:
         v = 0
         for c in reversed(digits):
@@ -69,36 +62,24 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
+        da, db = self._digits_of(a, self.k), self._digits_of(b, self.k)
         return self._pack([(x + y) % self.p for x, y in zip(da, db)])
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        return self._pack([(-c) % self.p for c in self._digits(a)])
+        return self._pack([(-c) % self.p for c in self._digits_of(a, self.k)])
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        da, db = self._digits(a), self._digits(b)
+        da, db = self._digits_of(a, self.k), self._digits_of(b, self.k)
         prod = [0] * (2 * self.k - 1)
         for i, x in enumerate(da):
             if x:
                 for j, y in enumerate(db):
                     prod[i + j] = (prod[i + j] + x * y) % self.p
-        return self._pack(self._reduce(prod))
-
-    def _reduce(self, coeffs: list[int]) -> list[int]:
-        # modulus is monic: x^k = -(low part)
-        mod_low = self._mod_low
-        p, k = self.p, self.k
-        for i in range(len(coeffs) - 1, k - 1, -1):
-            c = coeffs[i]
-            if c:
-                coeffs[i] = 0
-                for j, m in enumerate(mod_low):
-                    coeffs[i - k + j] = (coeffs[i - k + j] - c * m) % p
-        return coeffs[:k]
+        return self._pack(self._poly_rem(prod, list(self.modulus)))
 
     def power(self, a: int, n: int) -> int:
         result, base = 1, a
@@ -143,9 +124,10 @@ class FiniteField:
                 return False
         return True
 
-    @staticmethod
-    def _poly_rem_generic(f: list[int], g: list[int], p: int) -> list[int]:
-        f = list(f)
+    def _poly_rem(self, f: list[int], g: list[int]) -> list[int]:
+        """Remainder of f modulo the monic g, coefficients low to high,
+        without trailing zeros."""
+        p, f = self.p, list(f)
         dg = len(g) - 1
         for i in range(len(f) - 1, dg - 1, -1):
             c = f[i]
@@ -158,14 +140,9 @@ class FiniteField:
             rem.pop()
         return rem
 
-    def _poly_rem(self, f: list[int], g: list[int]) -> list[int]:
-        return self._poly_rem_generic(f, g, self.p)
-
     # -- discrete logs --
 
     def _build_log_tables(self) -> None:
-        if self.modulus is not None:
-            self._mod_low = list(self.modulus[:-1])
         q = self.q
         group_order = q - 1
         prime_parts = list(_prime_factors(group_order)) if group_order > 1 else []

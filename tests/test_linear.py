@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import random
 import time
 
@@ -30,6 +31,7 @@ from hyperblocks import (
     verify_axioms,
 )
 from hyperblocks import linear
+from hyperblocks.cli import main
 from hyperblocks.linear import (
     equation_sum,
     is_trivial,
@@ -239,6 +241,86 @@ def test_ample_solve_against_brute_force_on_drawn_systems(data):
     sol = ample_solve(h, system)
     assert len(sol) == n and any(x != h.zero for x in sol)
     assert all(zero_in_sum(h, eq, sol) for eq in system.equations)
+
+
+def pile_system(rng, h):
+    """A system whose three-term residue is a pile: v variables, each in
+    exactly three of v three-term equations, plus 1-3 extra variables and
+    fewer extra equations of 3-6 terms, all shuffled."""
+    v = rng.randrange(3, 7)
+    while True:
+        slots = [x for x in range(v) for _ in range(3)]
+        rng.shuffle(slots)
+        triples = [slots[i : i + 3] for i in range(0, 3 * v, 3)]
+        if all(len(set(tr)) == 3 for tr in triples):
+            break
+    n = v + rng.randrange(1, 4)
+    rows = [{x: rng.randrange(h.r) for x in tr} for tr in triples]
+    for _ in range(rng.randrange(n - v)):
+        size = rng.randrange(3, min(6, n) + 1)
+        rows.append({x: rng.randrange(h.r) for x in rng.sample(range(n), size)})
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rng.shuffle(rows)
+    eqs = [[h.zero] * n for _ in rows]
+    for eq, row in zip(eqs, rows):
+        for x, c in row.items():
+            eq[perm[x]] = c
+    return LinearSystem.make(eqs, n_vars=n)
+
+
+def test_ample_solve_through_a_pile(monkeypatch):
+    """Piles, and the anchors and pins with constants that follow them,
+    over every ample block union of a group of order <= 7."""
+    hs = [
+        h
+        for g in abelian_groups_up_to(7)
+        for m1 in g.involution_candidates()
+        for _, h in certified_candidates(compute_blocks(g, m1))
+    ]
+    assert len(hs) == 859
+    piles = 0
+    solve_pile = linear._solve_pile
+
+    def counted(*args):
+        nonlocal piles
+        piles += 1
+        solve_pile(*args)
+
+    monkeypatch.setattr(linear, "_solve_pile", counted)
+    rng = random.Random(8)
+    for i in range(300):
+        h = rng.choice(hs)
+        system = pile_system(rng, h)
+        sol = ample_solve(h, system)
+        assert piles == i + 1
+        assert any(x != h.zero for x in sol)
+        assert all(zero_in_sum(h, eq, sol) for eq in system.equations)
+
+
+# over Z5; -1 is the zero coefficient
+PILE_OF_EIGHT = [
+    [-1, 0, -1, -1, 0, -1, 0, -1, -1],
+    [-1, -1, 0, 0, 0, -1, -1, -1, -1],
+    [-1, 0, -1, -1, -1, 0, -1, 0, -1],
+    [0, -1, -1, 0, -1, -1, -1, 0, -1],
+    [-1, -1, -1, -1, 0, 0, 0, -1, -1],
+    [0, -1, 0, -1, -1, 0, -1, -1, -1],
+    [-1, 0, -1, 0, -1, -1, -1, 0, -1],
+    [0, -1, 0, -1, -1, -1, 0, -1, -1],
+]
+
+
+def test_pile_over_the_budget_is_refused(capsys, z5_blocks):
+    # a pile of 8 variables has 6^8 > PILE_BUDGET assignments
+    h = build_candidate(z5_blocks, (1 << z5_blocks.b) - 1)
+    assert is_ample(h) and verify_axioms(h).ok
+    system = LinearSystem.make([[h.zero if c == -1 else c for c in eq] for eq in PILE_OF_EIGHT])
+    assert 6**8 > linear.PILE_BUDGET
+    with pytest.raises(CapacityError, match="pile of 8 variables exceeds the search budget"):
+        ample_solve(h, system)
+    assert main(["fetvins", "--group", "Z5", "--system", json.dumps(PILE_OF_EIGHT)]) == 3
+    assert "pile of 8 variables" in capsys.readouterr().err
 
 
 # -- the FETVINS check ------------------------------------------------------------

@@ -11,9 +11,10 @@ A census sorts its survivors into isomorphism classes by block-orbit
 keys: automorphisms fixing -1 permute the blocks, and blocks are numbered
 by their least pair code, so the row-major pi string of a block union
 orders exactly as its bit-reversed block mask.  The least reversed mask
-over the orbit is therefore the canonical form, as an integer; its pi
-string is built once per class.  canonical_form stays the general
-oracle for arbitrary relations.
+over the orbit is therefore the canonical form, as an integer; the pi
+strings of all classes come from one uint8 gather of the key bits per
+census (per 2^14 classes on larger ones).  canonical_form stays the
+general oracle for arbitrary relations.
 """
 from __future__ import annotations
 
@@ -301,6 +302,26 @@ def certified_candidates(
             yield mask, h
 
 
+def _pi_strings(bp: BlockPartition, keys: np.ndarray) -> list[str]:
+    """The row-major pi string of each block-orbit key, one uint8 gather per chunk of keys.
+
+    Key bit b-1-i stands for block i, so pi bit (x, y) is key bit
+    b-1-pair_to_block[x*r + y]: the key bytes are unpacked little-endian
+    and their bit columns gathered in pi order.  Chunks of 2^CHUNK_BITS
+    keys bound the working memory.
+    """
+    columns = bp.b - 1 - np.array(bp.pair_to_block, dtype=np.intp)
+    width = bp.r * bp.r
+    out: list[str] = []
+    for start in range(0, len(keys), 1 << CHUNK_BITS):
+        octets = keys[start : start + (1 << CHUNK_BITS)].astype("<u8").view(np.uint8)
+        bits = np.unpackbits(octets.reshape(-1, 8), axis=1, bitorder="little")
+        chars = bits[:, columns] + np.uint8(ord("0"))
+        text = chars.tobytes().decode("ascii")
+        out += [text[i : i + width] for i in range(0, len(text), width)]
+    return out
+
+
 def enumerate_subsets(
     bp: BlockPartition,
     mode: str = MODE_FULL,
@@ -346,11 +367,8 @@ def enumerate_subsets(
             slot[0] += n
             slot[1] = min(slot[1], mask)
 
-    shifts = [bp.b - 1 - i for i in bp.pair_to_block]  # key bit of each pi bit
-
-    def canonical_pi(key: int) -> str:
-        return "".join("01"[key >> shift & 1] for shift in shifts)
-
+    ordered = sorted(classes.items())
+    strings = _pi_strings(bp, np.array([key for key, _ in ordered], dtype=np.uint64))
     return Census(
         bp.group,
         bp.minus_one,
@@ -359,8 +377,8 @@ def enumerate_subsets(
         found,
         ample_found,
         tuple(
-            CensusClass(canonical_pi(key), members, ample, subset)
-            for key, (members, subset, ample) in sorted(classes.items())
+            CensusClass(pi, members, ample, subset)
+            for pi, (_, (members, subset, ample)) in zip(strings, ordered)
         ),
     )
 

@@ -7,14 +7,18 @@ the multiplicative group of a hyperfield.
 """
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache
+from math import prod
 from typing import Iterator
+
+import numpy as np
 
 from .errors import CapacityError
 
 # automorphisms times group order: the entries an enumeration has to write
 AUTOMORPHISM_ENTRY_BOUND = 1 << 20
 MUL_TABLE_ORDER_BOUND = 256
+CAYLEY_CACHE_SIZE = 64  # groups whose tables a process keeps, each at most 256 x 256
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
@@ -31,6 +35,18 @@ def _prime_factors(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+@lru_cache(maxsize=CAYLEY_CACHE_SIZE)
+def _cayley_table(factors: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
+    """Multiplication rows and inverses of the group with these invariant
+    factors, built once per process and shared by its instances, which
+    never mutate them: mixed-radix vectors summed digit-wise."""
+    mod = np.array(factors, dtype=np.int64)
+    weights = np.array([prod(factors[i + 1 :]) for i in range(len(factors))], dtype=np.int64)
+    vecs = np.arange(prod(factors))[:, None] // weights % mod
+    rows = ((vecs[:, None, :] + vecs[None, :, :]) % mod @ weights).tolist()
+    return rows, [row.index(0) for row in rows]
 
 
 def invariant_factors(factors: list[int] | tuple[int, ...]) -> tuple[int, ...]:
@@ -62,22 +78,12 @@ class AbelianGroup:
 
     def __init__(self, factors: list[int] | tuple[int, ...] = ()):
         self.factors = invariant_factors(tuple(factors))
-        self.order = reduce(lambda a, b: a * b, self.factors, 1)
+        self.order = prod(self.factors)
         # radix weights for the mixed-radix element encoding
-        weights = []
-        w = 1
-        for d in reversed(self.factors):
-            weights.append(w)
-            w *= d
-        self._weights = tuple(reversed(weights))
-        # small groups get a full Cayley table; larger ones stay formula-based
+        self._weights = tuple(prod(self.factors[i + 1 :]) for i in range(len(self.factors)))
+        # small groups share one Cayley table per process; larger ones stay formula-based
         if self.order <= MUL_TABLE_ORDER_BOUND:
-            vecs = [self.element_vector(e) for e in range(self.order)]
-            idx = self.element_index
-            self._mul_rows = [
-                [idx(tuple(x + y for x, y in zip(va, vb))) for vb in vecs] for va in vecs
-            ]
-            self._inv_list = [row.index(0) for row in self._mul_rows]
+            self._mul_rows, self._inv_list = _cayley_table(self.factors)
         else:
             self._mul_rows = None
             self._inv_list = None

@@ -54,6 +54,23 @@ class LinearSystem:
         return cls(n_vars, eqs)
 
 
+class _SumRows(dict):
+    """sums[mask][e] is the set sum mask + e; a row is built on first use
+    as the union of the add table's rows over the members of mask."""
+
+    def __init__(self, add: list[list[int]]):
+        super().__init__()
+        self.add = add
+
+    def __missing__(self, mask: int) -> list[int]:
+        row = [0] * len(self.add)
+        for x, add_x in enumerate(self.add):
+            if mask >> x & 1:
+                row = [a | b for a, b in zip(row, add_x)]
+        self[mask] = row
+        return row
+
+
 class _Tables(NamedTuple):
     """What the linear layer reads of a candidate, built once per candidate."""
 
@@ -61,6 +78,7 @@ class _Tables(NamedTuple):
     prod: list[list[int]]  # (r+1) x (r+1): c * x, zero when either side is zero
     add: list[list[int]]  # the candidate's add_table
     ample: bool
+    sums: _SumRows
 
 
 def _tables(h: HyperfieldCandidate) -> _Tables:
@@ -69,7 +87,8 @@ def _tables(h: HyperfieldCandidate) -> _Tables:
     if cached is None:
         zero = h.zero
         prod = [h.group.mul_row(c) + [zero] for c in range(zero)] + [[zero] * (zero + 1)]
-        cached = _Tables(zero, prod, h.add_table(), is_ample(h))
+        add = h.add_table()
+        cached = _Tables(zero, prod, add, is_ample(h), _SumRows(add))
         h._linear_tables = cached
     return cached
 
@@ -89,15 +108,10 @@ def term_element(h: HyperfieldCandidate, coeff: int, value: int) -> int:
 
 def _element_sum(t: _Tables, elements) -> int:
     """Multivalued sum of single elements, folded left from {0}."""
-    add = t.add
+    sums = t.sums
     total = 1 << t.zero
     for e in elements:
-        out = 0
-        while total:
-            low = total & -total
-            out |= add[low.bit_length() - 1][e]
-            total ^= low
-        total = out
+        total = sums[total][e]
     return total
 
 
@@ -111,8 +125,11 @@ def set_sum(h: HyperfieldCandidate, masks) -> int:
 
 
 def _term_sum(t: _Tables, eq: tuple[int, ...], assignment) -> int:
-    prod = t.prod
-    return _element_sum(t, (prod[c][x] for c, x in zip(eq, assignment)))
+    prod, sums = t.prod, t.sums
+    total = 1 << t.zero
+    for c, x in zip(eq, assignment):
+        total = sums[total][prod[c][x]]
+    return total
 
 
 def equation_sum(h: HyperfieldCandidate, eq: tuple[int, ...], assignment) -> int:
@@ -121,7 +138,10 @@ def equation_sum(h: HyperfieldCandidate, eq: tuple[int, ...], assignment) -> int
 
 def _holds(t: _Tables, system: LinearSystem, assignment) -> bool:
     zero_bit = 1 << t.zero
-    return all(_term_sum(t, eq, assignment) & zero_bit for eq in system.equations)
+    for eq in system.equations:
+        if not _term_sum(t, eq, assignment) & zero_bit:
+            return False
+    return True
 
 
 def check(h: HyperfieldCandidate, system: LinearSystem, assignment) -> bool:

@@ -4,6 +4,7 @@ import json
 
 from hyperblocks import (
     append_records,
+    build_candidate,
     canonical_form,
     dedup_records,
     load_records,
@@ -11,6 +12,7 @@ from hyperblocks import (
     verify_axioms,
 )
 from hyperblocks.catalog import candidate_from_dict, candidate_to_dict, canonical_json
+from hyperblocks.groups import _cayley_table
 
 
 def test_candidate_dict_round_trip(z3_named):
@@ -83,3 +85,13 @@ def test_status_travels_with_record(z3, z3_named):
     verify_axioms(h)
     rec = make_record(h, verified=True)
     assert rec.to_dict()["candidate"]["status"] == "verified-hyperfield"
+
+
+def test_loading_records_builds_each_cayley_table_once(tmp_path, z7_blocks):
+    path = tmp_path / "catalog.jsonl"
+    append_records(path, [make_record(build_candidate(z7_blocks, m)) for m in range(100)])
+    _cayley_table.cache_clear()
+    loaded = load_records(path)
+    assert len(loaded) == 100
+    assert _cayley_table.cache_info().misses == 1  # every miss is one build
+    assert len({id(rec.candidate.group._mul_rows) for rec in loaded}) == 1

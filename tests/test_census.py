@@ -194,6 +194,22 @@ def test_spans_outside_the_gray_range_are_refused(z3_blocks):
         assert list(certified_candidates(z3_blocks, (k, k))) == []
 
 
+def test_keys_past_32_bits_give_the_canonical_form():
+    # Z13 has b = 35; this span of 4,096 Gray positions centres on the
+    # all-ones mask, so its classes' keys set bits 32 to 34
+    bp = compute_blocks(AbelianGroup.from_spec("Z13"), 0)
+    assert bp.b == 35
+    t = int("10" * 17 + "1", 2)
+    assert t ^ (t >> 1) == (1 << 35) - 1
+    c = enumerate_subsets(bp, MODE_AMPLE_ONLY, budget_bits=35, span=(t - 2048, t + 2048))
+    assert c.summary() == "subsets=4096 hyperfields=2510 classes=352 ample=2510"
+    assert any(cl.canonical_pi[0] == "1" for cl in c.classes)  # pi bit 0 is key bit 34
+    for cl in c.classes:
+        assert cl.canonical_pi == canonical_form(build_candidate(bp, cl.example_subset))
+    empty = enumerate_subsets(bp, MODE_AMPLE_ONLY, budget_bits=35, span=(t, t))
+    assert empty.classes == ()
+
+
 def test_sharded_matches_serial(z3_blocks, z7_blocks):
     assert enumerate_sharded(z3_blocks, threads=3) == enumerate_subsets(z3_blocks)
     # more shards than the 16 subsets: one subset per shard

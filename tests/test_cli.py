@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through the argument parser."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +123,24 @@ def test_census_shard_resolves_minus_one(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["census", "--group", "Z5", *argv])
         assert exc.value.code == 2
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("census_Z7_full", ["--group", "Z7", "--mode", "full"]),
+        ("census_Z7_ample-only", ["--group", "Z7", "--mode", "ample-only"]),
+        ("census_Z2xZ4_m2_full", ["--group", "Z2xZ4", "--minus-one", "2"]),
+    ],
+)
+def test_census_output_is_byte_for_byte_golden(capsys, name, argv, fmt):
+    code, out, _ = run(capsys, "census", *argv, "--format", fmt)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
 def test_census_budget_exit_code(capsys):

@@ -9,7 +9,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from hyperblocks import AbelianGroup, CapacityError, abelian_groups_up_to, invariant_factors
-from hyperblocks.groups import AUTOMORPHISM_ENTRY_BOUND
+from hyperblocks.groups import AUTOMORPHISM_ENTRY_BOUND, MUL_TABLE_ORDER_BOUND
 
 
 def smith_diagonal(factors):
@@ -75,6 +75,23 @@ def test_identity_and_inverse_laws():
         assert g.mul(x, g.inv(x)) == 0
         for y in g.elements():
             assert g.mul(x, y) == g.mul(y, x)
+
+
+def test_equal_groups_share_one_cayley_table():
+    a, b = AbelianGroup.from_spec("Z2xZ4"), AbelianGroup([4, 2])
+    assert a._mul_rows is b._mul_rows
+    assert a._inv_list is b._inv_list
+    big = AbelianGroup([MUL_TABLE_ORDER_BOUND + 1])
+    assert big._mul_rows is None
+    assert big.mul(big.order - 1, 2) == 1
+
+
+def test_cayley_table_matches_the_vector_formula():
+    for g in abelian_groups_up_to(40):
+        vecs = [g.element_vector(e) for e in g.elements()]
+        table = [[g.element_index(tuple(x + y for x, y in zip(u, v))) for v in vecs] for u in vecs]
+        assert [g.mul_row(a) for a in g.elements()] == table, g
+        assert [g.inv(a) for a in g.elements()] == [row.index(0) for row in table], g
 
 
 def test_element_order_brute_force():

@@ -9,14 +9,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
-from .census import canonical_form
+from .census import canonical_forms
 from .groups import AbelianGroup
 from .hyperfields import HyperfieldCandidate
 
 TOOL_NAME = "hyperblocks"
 TOOL_VERSION = "0.1.0"
+GROUP_CACHE_SIZE = 64  # groups the loader keeps, one per factors tuple
 
 
 def candidate_to_dict(h: HyperfieldCandidate) -> dict:
@@ -28,8 +30,13 @@ def candidate_to_dict(h: HyperfieldCandidate) -> dict:
     }
 
 
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
+def _group(factors: tuple[int, ...]) -> AbelianGroup:
+    return AbelianGroup(factors)
+
+
 def candidate_from_dict(d: dict) -> HyperfieldCandidate:
-    group = AbelianGroup(d["group"]["factors"])
+    group = _group(tuple(d["group"]["factors"]))
     return HyperfieldCandidate.from_pi_bits(
         group, d["minus_one"], d["pi"], status=d.get("status", "unverified")
     )
@@ -93,12 +100,22 @@ def load_records(path: str | Path) -> list[CatalogRecord]:
 
 
 def dedup_records(records) -> list[CatalogRecord]:
-    """Keep the first record per isomorphism class (group, -1, canonical pi)."""
+    """Keep the first record per isomorphism class (group, -1, canonical pi).
+
+    The canonical forms are computed per (group, -1), in one batch each.
+    """
+    records = list(records)
+    batches: dict[tuple[AbelianGroup, int], list[int]] = {}
+    for i, rec in enumerate(records):
+        batches.setdefault((rec.candidate.group, rec.candidate.minus_one), []).append(i)
+    keys: list[tuple] = [()] * len(records)
+    for (group, minus_one), index in batches.items():
+        forms = canonical_forms(group, minus_one, [records[i].candidate for i in index])
+        for i, form in zip(index, forms):
+            keys[i] = (group.factors, minus_one, form)
     seen = set()
     out = []
-    for rec in records:
-        h = rec.candidate
-        key = (h.group.factors, h.minus_one, canonical_form(h))
+    for rec, key in zip(records, keys):
         if key not in seen:
             seen.add(key)
             out.append(rec)

@@ -11,16 +11,22 @@ A census sorts its survivors into isomorphism classes by block-orbit
 keys: automorphisms fixing -1 permute the blocks, and blocks are numbered
 by their least pair code, so the row-major pi string of a block union
 orders exactly as its bit-reversed block mask.  The least reversed mask
-over the orbit is therefore the canonical form, as an integer; the pi
-strings of all classes come from one uint8 gather of the key bits per
-census (per 2^14 classes on larger ones).  canonical_form stays the
-general oracle for arbitrary relations.
+over the orbit is therefore the canonical form, as an integer.  A census
+keeps its classes as four numpy columns sorted by key (key, members,
+least mask, ample): each chunk's survivors are reduced by one lexsort and
+np.add.reduceat, the collected chunk columns are reduced the same way
+whenever they pass max(COMPACT_ROWS, classes so far), and merging shard
+censuses concatenates their columns and reduces once.  The pi strings
+are built only when Census.classes is first read, one uint8 gather of
+the key bits per 2^14 classes.  canonical_form stays the general oracle
+for arbitrary relations; canonical_forms keys the block unions among a
+batch of candidates and leaves only the rest to it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +46,7 @@ MODE_AMPLE_ONLY = "ample-only"
 SUBSET_BUDGET_BITS = 30
 CHUNK_BITS = 14  # masks per numpy chunk, as bits; bounds the kernel's working memory
 KEY_BITS = 53  # block-orbit keys are sums of distinct powers of two, exact in float64
+COMPACT_ROWS = 1 << 20  # collected class rows that trigger a reduce; bounds a census's memory
 
 
 @lru_cache(maxsize=64)
@@ -103,25 +110,77 @@ class CensusClass:
     example_subset: int  # least block bitmask seen in the class
 
 
-@dataclass(frozen=True)
+class _Columns(NamedTuple):
+    """Census classes column-wise, one row per class."""
+
+    keys: np.ndarray  # block-orbit keys, int32 or int64
+    members: np.ndarray  # same int type
+    least: np.ndarray  # least block mask seen, same int type
+    ample: np.ndarray  # bool
+
+
+def _reduce(parts: Sequence[_Columns]) -> _Columns:
+    """One row per key, sorted by key: members summed, the least mask kept."""
+    keys, members, least, ample = (np.concatenate(column) for column in zip(*parts))
+    order = np.lexsort((least, keys))
+    first = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    pick = order[first]
+    return _Columns(keys[pick], np.add.reduceat(members[order], first), least[pick], ample[pick])
+
+
+@dataclass(frozen=True, eq=False)
 class Census:
+    """One sweep's counts and classes.
+
+    The classes are kept as columns sorted by block-orbit key; class_count
+    and summary() read only those, and classes builds the CensusClass
+    tuple, pi strings included, on first access and keeps it.
+    """
+
     group: AbelianGroup
     minus_one: int
     mode: str
     subsets_examined: int
     hyperfield_count: int
     ample_count: int
-    classes: tuple[CensusClass, ...]
+    _partition: BlockPartition = field(repr=False)
+    _columns: _Columns = field(repr=False)
+
+    @cached_property
+    def classes(self) -> tuple[CensusClass, ...]:
+        keys, members, least, ample = self._columns
+        strings = _pi_strings(self._partition, keys)
+        return tuple(map(CensusClass, strings, members.tolist(), ample.tolist(), least.tolist()))
 
     @property
     def class_count(self) -> int:
-        return len(self.classes)
+        return len(self._columns.keys)
 
     def summary(self) -> str:
         return (
             f"subsets={self.subsets_examined} hyperfields={self.hyperfield_count} "
             f"classes={self.class_count} ample={self.ample_count}"
         )
+
+    def _counts(self) -> tuple:
+        return (
+            self.group,
+            self.minus_one,
+            self.mode,
+            self.subsets_examined,
+            self.hyperfield_count,
+            self.ample_count,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Census):
+            return NotImplemented
+        return self._counts() == other._counts() and all(
+            map(np.array_equal, self._columns, other._columns)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._counts(), self._columns.keys.tobytes()))
 
 
 class AxiomCircuit:
@@ -322,6 +381,23 @@ def _pi_strings(bp: BlockPartition, keys: np.ndarray) -> list[str]:
     return out
 
 
+def _key_weights(bp: BlockPartition) -> np.ndarray:
+    """weights[k, i] = 2^(b-1-s_k(i)) for the k-th automorphism s_k fixing -1."""
+    return np.ldexp(1.0, bp.b - 1 - block_permutations(bp))
+
+
+def _orbit_keys(weights: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Block-orbit key of each column of 0/1 block bits: min over k of weights[k] @ bits.
+
+    The keys are float64, exact for b <= KEY_BITS.
+    """
+    values = bits.astype(np.float64)
+    keys = weights[0] @ values
+    for w in weights[1:]:
+        np.minimum(keys, w @ values, out=keys)
+    return keys
+
+
 def enumerate_subsets(
     bp: BlockPartition,
     mode: str = MODE_FULL,
@@ -344,31 +420,24 @@ def enumerate_subsets(
     cap = min(budget_bits, KEY_BITS)
     if bp.b > cap:
         raise CapacityError(f"2^{bp.b} subsets exceeds the 2^{cap} budget")
-    weights = np.ldexp(1.0, bp.b - 1 - block_permutations(bp))
+    weights = _key_weights(bp)
     if span is None:
         span = shard_span(bp.b, 0, 1)
     found = ample_found = 0
-    classes: dict[int, list[int]] = {}  # block-orbit key -> [members, least mask, ample]
+    # keys and masks are below 2^b, and a class has at most one member per automorphism
+    dtype = np.int32 if bp.b < 32 else np.int64
+    # collected[0] holds one row per class reduced so far
+    collected = [_Columns(*[np.empty(0, dtype)] * 3, np.empty(0, bool))]
+    pending = 0
     for masks, bits, ample in _survivors(bp, mode, span):
         found += len(masks)
         ample_found += int(ample.sum())
-        values = bits.astype(np.float64)
-        keys = weights[0] @ values
-        for w in weights[1:]:
-            np.minimum(keys, w @ values, out=keys)
-        order = np.lexsort((masks, keys))
-        keys, masks, ample = keys[order].astype(np.int64), masks[order], ample[order]
-        first = np.flatnonzero(np.diff(keys, prepend=-1))
-        members = np.diff(first, append=len(keys))
-        for key, n, mask, is_ample in zip(
-            keys[first].tolist(), members.tolist(), masks[first].tolist(), ample[first].tolist()
-        ):
-            slot = classes.setdefault(key, [0, mask, is_ample])
-            slot[0] += n
-            slot[1] = min(slot[1], mask)
-
-    ordered = sorted(classes.items())
-    strings = _pi_strings(bp, np.array([key for key, _ in ordered], dtype=np.uint64))
+        keys = _orbit_keys(weights, bits).astype(dtype)
+        members = np.ones(len(keys), dtype=dtype)
+        collected.append(_reduce([_Columns(keys, members, masks.astype(dtype), ample)]))
+        pending += len(collected[-1].keys)
+        if pending > max(COMPACT_ROWS, len(collected[0].keys)):
+            collected, pending = [_reduce(collected)], 0
     return Census(
         bp.group,
         bp.minus_one,
@@ -376,30 +445,19 @@ def enumerate_subsets(
         span[1] - span[0],
         found,
         ample_found,
-        tuple(
-            CensusClass(pi, members, ample, subset)
-            for pi, (_, (members, subset, ample)) in zip(strings, ordered)
-        ),
+        bp,
+        _reduce(collected),
     )
 
 
 def merge_censuses(parts: list[Census]) -> Census:
-    """Combine shard censuses of the same sweep; merging is associative."""
+    """Combine shard censuses of the same sweep by their key columns; merging is associative."""
     if not parts:
         raise ValueError("nothing to merge")
     first = parts[0]
     for p in parts[1:]:
         if (p.group, p.minus_one, p.mode) != (first.group, first.minus_one, first.mode):
             raise ValueError("cannot merge censuses of different sweeps")
-    classes: dict[str, list[int]] = {}
-    for p in parts:
-        for c in p.classes:
-            slot = classes.get(c.canonical_pi)
-            if slot is None:
-                classes[c.canonical_pi] = [c.members, c.example_subset, c.ample]
-            else:
-                slot[0] += c.members
-                slot[1] = min(slot[1], c.example_subset)
     return Census(
         first.group,
         first.minus_one,
@@ -407,11 +465,33 @@ def merge_censuses(parts: list[Census]) -> Census:
         sum(p.subsets_examined for p in parts),
         sum(p.hyperfield_count for p in parts),
         sum(p.ample_count for p in parts),
-        tuple(
-            CensusClass(key, members, bool(ample), subset)
-            for key, (members, subset, ample) in sorted(classes.items())
-        ),
+        first._partition,
+        _reduce([p._columns for p in parts]),
     )
+
+
+def canonical_forms(
+    group: AbelianGroup, minus_one: int, candidates: Sequence[HyperfieldCandidate]
+) -> list[str]:
+    """canonical_form of each candidate on this group and -1, computed in one batch.
+
+    The block unions among them (all of them, when they come from a
+    census) are keyed by their block orbits, as enumerate_subsets keys
+    them, and the keys turned into pi strings by _pi_strings; only the
+    other relations go through canonical_form.
+    """
+    bp = compute_blocks(group, minus_one)
+    forms: list[str | None] = [None] * len(candidates)
+    if bp.b <= KEY_BITS and candidates:
+        text = "".join(h.pi_bits() for h in candidates).encode("ascii")
+        bits = (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(len(candidates), -1)
+        block_bits = bits[:, [block[0] for block in bp.blocks]]
+        unions = np.flatnonzero((bits == block_bits[:, bp.pair_to_block]).all(axis=1))
+        keys = _orbit_keys(_key_weights(bp), block_bits[unions].T)
+        for i, form in zip(unions.tolist(), _pi_strings(bp, keys)):
+            forms[i] = form
+    autos = automorphisms_fixing(group, minus_one)
+    return [canonical_form(h, autos) if f is None else f for h, f in zip(candidates, forms)]
 
 
 def enumerate_sharded(

@@ -67,7 +67,7 @@ class HyperfieldCandidate:
     def pi_bits(self) -> str:
         """Row-major 0/1 string of the pi relation, length r^2."""
         r = self.r
-        return "".join("1" if self.rows[x] >> y & 1 else "0" for x in range(r) for y in range(r))
+        return "".join(format(row, f"0{r}b")[::-1] for row in self.rows)
 
     @classmethod
     def from_pi_bits(
@@ -76,9 +76,7 @@ class HyperfieldCandidate:
         r = group.order
         if len(bits) != r * r or set(bits) - {"0", "1"}:
             raise ValueError(f"pi bit string must be {r * r} chars of 0/1")
-        rows = tuple(
-            sum(1 << y for y in range(r) if bits[x * r + y] == "1") for x in range(r)
-        )
+        rows = tuple(int(bits[x * r : (x + 1) * r][::-1], 2) for x in range(r))
         return cls(group, minus_one, rows, status)
 
     # -- addition ---------------------------------------------------------

@@ -1,6 +1,10 @@
 """Exhaustive enumeration over block subsets with isomorphism rejection."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperblocks import (
     AbelianGroup,
@@ -8,6 +12,7 @@ from hyperblocks import (
     MODE_AMPLE_ONLY,
     MODE_FULL,
     STATUS_CERTIFIED,
+    abelian_groups_up_to,
     build_candidate,
     canonical_form,
     census_all_minus_ones,
@@ -21,6 +26,8 @@ from hyperblocks import (
     verify_all_subsets,
     verify_axioms,
 )
+from hyperblocks import census
+from hyperblocks.census import automorphisms_fixing
 from conftest import from_labels
 
 
@@ -283,3 +290,66 @@ def test_batch_sweep_budget_and_order_caps(z7_blocks):
     big = compute_blocks(AbelianGroup.from_spec("Z16"), 0)
     with pytest.raises(CapacityError):
         verify_all_subsets(big)
+
+
+SMALL = [(g, m1) for g in abelian_groups_up_to(8) for m1 in g.involution_candidates()]
+
+
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_AMPLE_ONLY])
+def test_compacting_every_64_rows_gives_the_same_census(monkeypatch, mode):
+    partitions = [compute_blocks(g, m1) for g, m1 in SMALL]
+    default = [enumerate_subsets(bp, mode) for bp in partitions]
+    # 2^10-mask chunks: the order-8 partitions (b = 15) collect 32 chunks each
+    monkeypatch.setattr(census, "CHUNK_BITS", 10)
+    monkeypatch.setattr(census, "COMPACT_ROWS", 64)
+    for bp, whole in zip(partitions, default):
+        compacted = enumerate_subsets(bp, mode)
+        assert compacted == whole
+        assert compacted.classes == whole.classes
+        autos = automorphisms_fixing(bp.group, bp.minus_one)
+        for cl in compacted.classes:
+            assert cl.canonical_pi == canonical_form(build_candidate(bp, cl.example_subset), autos)
+
+
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_AMPLE_ONLY])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_merging_drawn_pieces_of_a_z7_span_gives_the_whole(z7_blocks, mode, data):
+    total = 1 << z7_blocks.b
+    # (0, 0) is empty and (0, 2) has no survivors; drawn cuts may repeat too
+    cuts = sorted(data.draw(st.lists(st.integers(2, total), max_size=6)))
+    bounds = [0, 0, 2, *cuts, total]
+    pieces = [enumerate_subsets(z7_blocks, mode, span=span) for span in zip(bounds, bounds[1:])]
+    rnd = data.draw(st.randoms(use_true_random=False))
+    while len(pieces) > 1:  # merge a drawn group of two or more pieces, until one is left
+        picked = rnd.sample(range(len(pieces)), rnd.randint(2, len(pieces)))
+        merged = merge_censuses([pieces[i] for i in picked])
+        pieces = [p for i, p in enumerate(pieces) if i not in picked] + [merged]
+    whole = _whole_z7(mode)
+    assert pieces[0] == whole
+    assert pieces[0].classes == whole.classes
+
+
+@functools.lru_cache(maxsize=None)
+def _whole_z7(mode):
+    return enumerate_subsets(compute_blocks(AbelianGroup.from_spec("Z7"), 0), mode)
+
+
+def test_pi_strings_are_built_only_when_classes_are_read(monkeypatch, z7_blocks):
+    built = []
+    gather = census._pi_strings
+
+    def counting(bp, keys):
+        built.append(len(keys))
+        return gather(bp, keys)
+
+    monkeypatch.setattr(census, "_pi_strings", counting)
+    parts = [enumerate_subsets(z7_blocks, span=span) for span in [(0, 1000), (1000, 4096)]]
+    merged = merge_censuses(parts)
+    assert merged.class_count == enumerate_subsets(z7_blocks).class_count
+    assert merged.summary() == "subsets=4096 hyperfields=932 classes=178 ample=612"
+    assert built == []
+    classes = merged.classes
+    assert built == [merged.class_count]
+    assert merged.classes is classes
+    assert built == [merged.class_count]

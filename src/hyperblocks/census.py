@@ -20,7 +20,8 @@ censuses concatenates their columns and reduces once.  The pi strings
 are built only when Census.classes is first read, one uint8 gather of
 the key bits per 2^14 classes.  canonical_form stays the general oracle
 for arbitrary relations; canonical_forms keys the block unions among a
-batch of candidates and leaves only the rest to it.
+batch of candidates (_union_keys, which the quotient atlas shares) and
+leaves only the rest to it.
 """
 from __future__ import annotations
 
@@ -132,9 +133,9 @@ def _reduce(parts: Sequence[_Columns]) -> _Columns:
 class Census:
     """One sweep's counts and classes.
 
-    The classes are kept as columns sorted by block-orbit key; class_count
-    and summary() read only those, and classes builds the CensusClass
-    tuple, pi strings included, on first access and keeps it.
+    The classes are kept as columns sorted by block-orbit key; class_count,
+    class_rows() and summary() read only those, and classes builds the
+    CensusClass tuple, pi strings included, on first access and keeps it.
     """
 
     group: AbelianGroup
@@ -155,6 +156,12 @@ class Census:
     @property
     def class_count(self) -> int:
         return len(self._columns.keys)
+
+    def class_rows(self) -> Iterator[tuple[int, bool, int]]:
+        """(members, ample, example_subset) of each class, in the order of
+        classes, read from the columns without building a pi string."""
+        _, members, least, ample = self._columns
+        return zip(members.tolist(), ample.tolist(), least.tolist())
 
     def summary(self) -> str:
         return (
@@ -382,16 +389,23 @@ def _pi_strings(bp: BlockPartition, keys: np.ndarray) -> list[str]:
 
 
 def _key_weights(bp: BlockPartition) -> np.ndarray:
-    """weights[k, i] = 2^(b-1-s_k(i)) for the k-th automorphism s_k fixing -1."""
-    return np.ldexp(1.0, bp.b - 1 - block_permutations(bp))
+    """weights[k, i] = 2^(b-1-s_k(i)) for the k-th automorphism s_k fixing -1.
+
+    float64 for b <= KEY_BITS; past that, Python ints in an object array,
+    which keep the keys exact at any b but are far slower.
+    """
+    shifts = bp.b - 1 - block_permutations(bp)
+    if bp.b <= KEY_BITS:
+        return np.ldexp(1.0, shifts)
+    return np.array([[1 << s for s in row] for row in shifts.tolist()], dtype=object)
 
 
 def _orbit_keys(weights: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Block-orbit key of each column of 0/1 block bits: min over k of weights[k] @ bits.
 
-    The keys are float64, exact for b <= KEY_BITS.
+    The keys have the dtype of weights, and are exact (see _key_weights).
     """
-    values = bits.astype(np.float64)
+    values = bits.astype(weights.dtype)
     keys = weights[0] @ values
     for w in weights[1:]:
         np.minimum(keys, w @ values, out=keys)
@@ -470,24 +484,34 @@ def merge_censuses(parts: list[Census]) -> Census:
     )
 
 
+def _union_keys(
+    bp: BlockPartition, candidates: Sequence[HyperfieldCandidate]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, block-orbit keys) of the candidates on bp whose pi is a union of blocks.
+
+    A relation is a union when every pair carries the bit of its block's
+    first pair; its key is the one enumerate_subsets gives its block mask.
+    """
+    text = "".join(h.pi_bits() for h in candidates).encode("ascii")
+    bits = (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(-1, bp.r * bp.r)
+    block_bits = bits[:, [block[0] for block in bp.blocks]]
+    unions = np.flatnonzero((bits == block_bits[:, bp.pair_to_block]).all(axis=1))
+    return unions, _orbit_keys(_key_weights(bp), block_bits[unions].T)
+
+
 def canonical_forms(
     group: AbelianGroup, minus_one: int, candidates: Sequence[HyperfieldCandidate]
 ) -> list[str]:
     """canonical_form of each candidate on this group and -1, computed in one batch.
 
     The block unions among them (all of them, when they come from a
-    census) are keyed by their block orbits, as enumerate_subsets keys
-    them, and the keys turned into pi strings by _pi_strings; only the
-    other relations go through canonical_form.
+    census) are keyed by _union_keys and the keys turned into pi strings
+    by _pi_strings; only the other relations go through canonical_form.
     """
     bp = compute_blocks(group, minus_one)
     forms: list[str | None] = [None] * len(candidates)
-    if bp.b <= KEY_BITS and candidates:
-        text = "".join(h.pi_bits() for h in candidates).encode("ascii")
-        bits = (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(len(candidates), -1)
-        block_bits = bits[:, [block[0] for block in bp.blocks]]
-        unions = np.flatnonzero((bits == block_bits[:, bp.pair_to_block]).all(axis=1))
-        keys = _orbit_keys(_key_weights(bp), block_bits[unions].T)
+    if bp.b <= KEY_BITS:
+        unions, keys = _union_keys(bp, candidates)
         for i, form in zip(unions.tolist(), _pi_strings(bp, keys)):
             forms[i] = form
     autos = automorphisms_fixing(group, minus_one)

@@ -294,11 +294,9 @@ def cmd_census(args, parser) -> int:
                 f"{c.group.spec_string()} minus_one={c.group.element_name(c.minus_one)} "
                 f"mode={c.mode} {c.summary()}"
             )
-            for cl in c.classes:
-                flag = " ample" if cl.ample else ""
-                lines.append(
-                    f"  {_mask_labels(cl.example_subset):<10} members={cl.members}{flag}"
-                )
+            for members, ample, example in c.class_rows():
+                flag = " ample" if ample else ""
+                lines.append(f"  {_mask_labels(example):<10} members={members}{flag}")
         _emit(args, "\n".join(lines))
     return 0
 

@@ -1,15 +1,19 @@
-"""Finite fields, their multiplicative quotients, and the search that
+"""Finite fields, their multiplicative quotients, and the lookup that
 decides whether a candidate arises as such a quotient.
 
 F_q modulo the subgroup of r-th powers (for r dividing q - 1) yields a
 hyperfield on the cyclic group of order r; its addition rows come from
-reading w + 1 classwise across each coset.
+reading w + 1 classwise across each coset.  The quotients for one r and
+scan bound are keyed once by block-orbit key, the key a census gives
+their class, so classifying a candidate is one dict lookup.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .blocks import compute_blocks
+from .census import _union_keys
 from .errors import CapacityError
 from .groups import AbelianGroup, _prime_factors
 from .hyperfields import HyperfieldCandidate
@@ -179,7 +183,7 @@ class FiniteField:
         return " + ".join(terms)
 
 
-@lru_cache(maxsize=4096)  # more than one quotient scan visits for any r
+@lru_cache(maxsize=4096)  # more fields than any atlas at the default bound holds
 def _quotient_data(q: int, r: int) -> tuple[AbelianGroup, tuple[int, ...], int, int]:
     """(group, pi rows, -1, packed subgroup generator) of GF(q) modulo its
     r-th powers.
@@ -213,32 +217,46 @@ def subgroup_generator(q: int, r: int) -> int:
     return _quotient_data(q, r)[3]
 
 
-@lru_cache(maxsize=4096)
-def _quotient_form(q: int, r: int) -> str:
-    """canonical_form of GF(q) modulo its r-th powers, computed once per (q, r)."""
-    from .census import canonical_form
+@lru_cache(maxsize=64)
+def _quotient_atlas(r: int, q_bound: int) -> dict[tuple[int, int], int]:
+    """(-1, block-orbit key) -> least prime power q <= q_bound whose
+    GF(q)/(r-th powers) has that -1 and key.
 
-    return canonical_form(quotient_hyperfield(q, r))
+    Every quotient is a hyperfield, so its pi is a union of blocks of its
+    (Z_r, -1) partition; RuntimeError if one is not, since the lookup in
+    find_finite_quotient would then miss it.
+    """
+    by_minus_one: dict[int, list[tuple[int, HyperfieldCandidate]]] = {}
+    for q in range(r + 1, q_bound + 1, r):
+        if _is_prime_power(q) is not None:
+            h = quotient_hyperfield(q, r)
+            by_minus_one.setdefault(h.minus_one, []).append((q, h))
+    atlas: dict[tuple[int, int], int] = {}
+    for minus_one, found in by_minus_one.items():
+        bp = compute_blocks(found[0][1].group, minus_one)
+        unions, keys = _union_keys(bp, [h for _, h in found])
+        if len(unions) < len(found):
+            raise RuntimeError(f"a quotient on Z{r} is not a union of blocks")
+        for (q, _), key in zip(found, keys.tolist()):
+            atlas.setdefault((minus_one, int(key)), q)
+    return atlas
 
 
 def find_finite_quotient(h: HyperfieldCandidate, q_bound: int) -> tuple[int, int] | None:
     """Least prime power q <= q_bound with GF(q)/(r-th powers) isomorphic
-    to h, as (q, subgroup generator); None if the scan comes up empty.
+    to h, as (q, subgroup generator); None if there is none.
 
-    Only cyclic groups can occur, so non-cyclic candidates never match.
+    Only cyclic groups occur, and every quotient is a union of blocks;
+    automorphisms fixing -1 permute the blocks, so a relation that is not
+    a union is isomorphic to no quotient.  Anything else is one lookup.
     """
-    from .census import canonical_form
-
     if not h.group.is_cyclic:
         return None
-    r = h.r
-    target = canonical_form(h)
-    for q in range(2, q_bound + 1):
-        if (q - 1) % r or _is_prime_power(q) is None:
-            continue
-        if _quotient_data(q, r)[2] == h.minus_one and _quotient_form(q, r) == target:
-            return q, subgroup_generator(q, r)
-    return None
+    unions, keys = _union_keys(compute_blocks(h.group, h.minus_one), [h])
+    if not len(unions):
+        return None
+    q = _quotient_atlas(h.r, q_bound).get((h.minus_one, int(keys[0])))
+    return None if q is None else (q, subgroup_generator(q, h.r))
 
 
 def excludes_infinite_quotient(h: HyperfieldCandidate) -> bool:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hyperblocks import census
 from hyperblocks.cli import main
 
 
@@ -141,6 +142,17 @@ def test_census_output_is_byte_for_byte_golden(capsys, name, argv, fmt):
     code, out, _ = run(capsys, "census", *argv, "--format", fmt)
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+def test_census_text_builds_no_pi_strings(capsys, monkeypatch):
+    # the text format prints only columns: example blocks, members and ample flag
+    def refuse(*args):
+        raise AssertionError("pi strings built")
+
+    monkeypatch.setattr(census, "_pi_strings", refuse)
+    code, out, _ = run(capsys, "census", "--group", "Z7")
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / "census_Z7_full.text").read_bytes()
 
 
 def test_census_budget_exit_code(capsys):

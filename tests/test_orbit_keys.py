@@ -16,6 +16,7 @@ from hyperblocks import (
     MODE_FULL,
     AbelianGroup,
     CapacityError,
+    HyperfieldCandidate,
     abelian_groups_up_to,
     build_candidate,
     canonical_form,
@@ -155,3 +156,22 @@ def test_keys_past_float64_precision_are_refused():
     assert bp.b > 53
     with pytest.raises(CapacityError):
         enumerate_subsets(bp, budget_bits=64, span=(0, 8))
+
+
+def test_union_keys_stay_exact_past_float64_precision():
+    # past KEY_BITS blocks the keys are Python ints; here they are read
+    # against canonical_form, with keys of up to 57 significant bits
+    bp = partition("Z17", 0)
+    assert bp.b > census.KEY_BITS
+    # one pair of a block of several is a relation that is no union
+    split = next(block[0] for block in bp.blocks if len(block) > 1)
+    rows = [0] * bp.r
+    rows[split // bp.r] = 1 << split % bp.r
+    lone = HyperfieldCandidate(bp.group, 0, tuple(rows))
+    masks = [(1 << bp.b) - 1 - (1 << i) for i in range(0, bp.b, 7)] + [1, 3 << 50]
+    unions, keys = census._union_keys(bp, [lone] + [build_candidate(bp, m) for m in masks])
+    assert unions.tolist() == list(range(1, len(masks) + 1))
+    for mask, key in zip(masks, keys.tolist()):
+        form = canonical_form(build_candidate(bp, mask))
+        blocks = [i for i, block in enumerate(bp.blocks) if form[block[0]] == "1"]
+        assert key == sum(1 << (bp.b - 1 - i) for i in blocks)

@@ -1,6 +1,10 @@
-"""Finite fields, their coset hyperfields, and the quotient search."""
+"""Finite fields, their coset hyperfields, and the quotient lookup."""
+
+from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hyperblocks import (
     AbelianGroup,
@@ -13,18 +17,29 @@ from hyperblocks import (
     STATUS_VERIFIED,
     UNKNOWN,
     QuotientStatusReport,
+    build_candidate,
     canonical_form,
+    census_all_minus_ones,
+    compute_blocks,
     excludes_infinite_quotient,
     find_finite_quotient,
+    is_union_of_blocks,
     krasner,
     quotient_hyperfield,
     quotient_status,
     sign_hyperfield,
     verify_axioms,
 )
-from hyperblocks import quotients
+from hyperblocks import census, quotients
 from hyperblocks.quotients import default_q_bound, subgroup_generator
 from conftest import from_labels
+
+
+@pytest.fixture(autouse=True)
+def no_atlas_built():
+    """Every test starts without a quotient atlas, so the fields and atlases
+    a test counts are the ones it builds itself."""
+    quotients._quotient_atlas.cache_clear()
 
 
 # -- field construction ------------------------------------------------------------
@@ -258,20 +273,15 @@ def test_quotient_scan_builds_each_field_once(monkeypatch, z3_named):
     assert subgroup_generator(13, 3) == gf13.power(gf13.generator, 3) == 8
 
 
-def test_quotient_scan_forms_each_field_once(monkeypatch, z3_named):
-    import hyperblocks.census as census
+def test_quotient_status_makes_no_canonical_form_calls(monkeypatch, z3_blocks):
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical_form called")
 
-    quotients._quotient_form.cache_clear()
-    # BC is a nonquotient, so its scan forms every GF(q)/(cubes), q <= 81
-    assert quotient_status(z3_named["BC"]).status == NONQUOTIENT
-    form, calls = census.canonical_form, []
-    monkeypatch.setattr(
-        census, "canonical_form", lambda h, autos=None: calls.append(h) or form(h, autos)
-    )
-    for h in z3_named.values():
-        calls.clear()
-        quotient_status(h)
-        assert len(calls) == 1 and calls[0] is h
+    monkeypatch.setattr(census, "canonical_form", refuse)
+    for mask in range(1 << z3_blocks.b):
+        quotient_status(build_candidate(z3_blocks, mask))
+    # one atlas for (r, bound) = (3, 81), built by the first call and read by the rest
+    assert quotients._quotient_atlas.cache_info().misses == 1
 
 
 def test_quotient_status_respects_small_bound(z3_named):
@@ -279,3 +289,57 @@ def test_quotient_status_respects_small_bound(z3_named):
     # 13 lies beyond the bound and the scan is not definitive
     assert rep.status == UNKNOWN
     assert not rep.definitive
+
+
+# -- the atlas against the scan it replaced -------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def scanned_form(q, r):
+    return canonical_form(quotient_hyperfield(q, r))
+
+
+def scan_for_quotient(h, q_bound):
+    """The reference: every prime power q <= q_bound in ascending order,
+    comparing canonical forms where -1 matches."""
+    if not h.group.is_cyclic:
+        return None
+    r, target = h.r, canonical_form(h)
+    for q in range(2, q_bound + 1):
+        if (q - 1) % r or quotients._is_prime_power(q) is None:
+            continue
+        if quotient_hyperfield(q, r).minus_one == h.minus_one and scanned_form(q, r) == target:
+            return q, subgroup_generator(q, r)
+    return None
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_atlas_matches_the_scan_on_every_census_class(r):
+    group = AbelianGroup([r] if r > 1 else [])
+    bound = default_q_bound(r)
+    for c in census_all_minus_ones(group):
+        bp = compute_blocks(group, c.minus_one)
+        for cl in c.classes:
+            h = build_candidate(bp, cl.example_subset)
+            assert find_finite_quotient(h, bound) == scan_for_quotient(h, bound), cl
+
+
+@pytest.mark.parametrize("spec", ["Z5", "Z7"])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_atlas_and_scan_agree_on_relations_that_are_not_unions(spec, data):
+    group = AbelianGroup.from_spec(spec)
+    r = group.order
+    rows = data.draw(st.lists(st.integers(0, (1 << r) - 1), min_size=r, max_size=r))
+    h = HyperfieldCandidate(group, 0, tuple(rows))
+    assume(not is_union_of_blocks(h))
+    assert find_finite_quotient(h, default_q_bound(r)) is None
+    assert scan_for_quotient(h, default_q_bound(r)) is None
+
+
+def test_every_quotient_is_a_union_of_blocks():
+    # the fact behind find_finite_quotient's early None for other relations
+    for r in range(1, 10):
+        for q in range(r + 1, default_q_bound(r) + 1, r):
+            if quotients._is_prime_power(q) is not None:
+                assert is_union_of_blocks(quotient_hyperfield(q, r)), (q, r)

@@ -1,11 +1,19 @@
 """Sweeps over all block subsets of a partition.
 
-Subsets are visited in Gray-code order, a numpy chunk at a time.  For a
-union of blocks the column weights mirror the row weights (column y
-weighs what row -y weighs), so the ample screen is just
-2 * min(row weight) > r.  Every batch verification (the full-mode census
-and verify_all_subsets) runs one compiled, bit-sliced axiom circuit over
-the block bits (AxiomCircuit); verify_axioms is left to single candidates.
+Subsets are visited in Gray-code order, 2^CHUNK_BITS positions a chunk,
+and the whole sweep works on uint64 words, one word holding one block
+bit of 64 consecutive positions.  Those words are written straight from
+the positions (_chunks): in a 64-aligned run, block bits 0-5 follow
+fixed patterns, flipped by the run's own Gray code, and higher bits are
+constant.  For a union of blocks the column weights mirror the row
+weights (column y weighs what row -y weighs), so the ample screen is
+2 * min(row weight) > r, evaluated bit-sliced on the words: a ripple
+counter per pi row, a comparison with r // 2 + 1, an AND over the rows
+(_ample_screen).  Every batch verification (the full-mode census and
+verify_all_subsets) runs one compiled, bit-sliced axiom circuit on the
+same words (AxiomCircuit); verify_axioms is left to single candidates.
+Tallies are popcounts of words; only the kept positions of a chunk are
+unpacked into masks and block bits.
 
 A census sorts its survivors into isomorphism classes by block-orbit
 keys: automorphisms fixing -1 permute the blocks, and blocks are numbered
@@ -190,129 +198,168 @@ class Census:
         return hash((self._counts(), self._columns.keys.tobytes()))
 
 
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct rows of a 2-d array in lexicographic order, each row's index among them)."""
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(a), dtype=np.intp)
+    ids[order] = np.cumsum(new) - 1
+    return ordered[new], ids
+
+
 class AxiomCircuit:
     """The axioms of verify_axioms as one Boolean circuit, evaluated bit-sliced.
 
     Variable var_of[x * r + y] stands for the pi bit (x, y): the pair code
-    for an arbitrary relation, the block index for a union of blocks.  A
-    nonzero w is in x + y exactly when pi(y^-1 x, y^-1 w) holds; whether 0
-    is in x + y, and every sum with a zero operand, are constants.  Each
-    axiom compiles to implications L -> R between ORs of terms, a term
-    being the AND of at most two variables.  Implications that hold as
-    written (every term of L is in R, or R is constantly true) are dropped:
+    for an arbitrary relation, the block index for a union of blocks.  The
+    register table s[x, y, e] holds exactly when e is in x + y: for
+    nonzero x, y and e it is the variable of pi(y^-1 x, y^-1 e); whether 0
+    is in x + y, and every sum with a zero operand, are the constants true
+    and false.  Each axiom compiles to implications L -> R between ORs of
+    terms, a term being the AND of at most two registers.  The sides are
+    built as numpy term arrays (associativity's (x + 1) + z, for instance,
+    ORs s[x, 1, w] AND s[w, z, e] over w) and made canonical: a term with
+    false is blanked, the terms are sorted, repeats blanked and sorted
+    again, and a side with a true term is true.  Implications that hold
+    as written (every term of L is in R, or R is true) are dropped:
     distributivity and unique negatives for every relation, commutativity
-    and reversibility for unions of blocks.  Evaluation is bit-sliced
-    (Biham, FSE 1997): a uint64 word holds one variable of 64 candidates.
+    and reversibility for unions of blocks.  Equal sides and equal clauses
+    are merged as equal rows, by one lexsort each.  Evaluation is
+    bit-sliced (Biham, FSE 1997): a uint64 word holds one variable of 64
+    candidates, and each side is the OR of a fixed number of register
+    rows, its blanks reading false.
     """
 
     def __init__(self, group: AbelianGroup, minus_one: int, var_of: Sequence[int]):
         r = group.order
-        zero = r
-        elements = range(r + 1)
-        mul, inv = group.mul, group.inv
+        zero = r  # elements are 0..r, r standing for 0
+        var = np.asarray(var_of, dtype=np.intp)
         # registers: variables 0..t-1, constant true t, constant false t + 1, pair ANDs
-        t = self.nvars = max(var_of, default=-1) + 1
-        n = t + 1
-        true = frozenset([t * n + t])  # a side is a set of terms u * n + v, u <= v
+        t = self.nvars = int(var.max(initial=-1)) + 1
+        true, false = t, t + 1
+        mul = np.array([group.mul_row(x) for x in range(r)], dtype=np.intp)
+        quot = mul[[group.inv(y) for y in range(r)]]  # quot[y, x] = y^-1 x
+        nonzero, elements = np.arange(r), np.arange(r + 1)
 
-        # add[x][y]: (e, register) for each e that is in x + y when the register is true
-        add = [[[(y if x == zero else x, t)] for y in elements] for x in elements]
-        for x in range(r):
-            for y in range(r):
-                yi = inv(y)
-                row = mul(yi, x) * r
-                add[x][y] = [(e, var_of[row + mul(yi, e)]) for e in range(r)]
-                if x == mul(minus_one, y):
-                    add[x][y].append((zero, t))
+        s = np.full((r + 1, r + 1, r + 1), false, dtype=np.intp)
+        s[:r, :r, :r] = var[quot.T[:, :, None] * r + quot[None, :, :]]
+        s[nonzero, mul[minus_one], zero] = true
+        s[zero, elements, elements] = true
+        s[nonzero, zero, nonzero] = true
 
-        def union(parts) -> list[frozenset[int]]:
-            """Per element, the side for its membership in a union of (condition, sum)."""
-            out: list[set[int]] = [set() for _ in elements]
-            for c, entries in parts:
-                for e, v in entries:
-                    out[e].add(c * n + v if c <= v else v * n + c)
-            return [true if true <= terms else frozenset(terms) for terms in out]
+        # the term u AND v is the code u * k + v, u <= v, and u AND u is u AND true;
+        # blank sorts after every term
+        k = t + 2
+        blank = k * k
+        true_side = np.full(r + 1, blank)
+        true_side[0] = true * k + true
 
-        def eq(a, b):
-            return [(a[e], b[e]) for e in elements] + [(b[e], a[e]) for e in elements]
+        def side(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+            """One canonical side per row: the OR over the last axis of u AND v."""
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            codes = np.full(lo.shape[:-1] + (r + 1,), blank)
+            codes[..., : lo.shape[-1]] = np.where(
+                hi == false, blank, lo * k + np.where(lo == hi, true, hi)
+            )
+            codes.sort(axis=-1)
+            codes[..., 1:][codes[..., 1:] == codes[..., :-1]] = blank
+            codes.sort(axis=-1)
+            codes[(codes == true_side[0]).any(axis=-1)] = true_side
+            return codes.reshape(-1, r + 1)
 
-        def every(check):
-            """The clauses of check(x, z) over all nonzero x and z."""
-            return [c for x in range(r) for z in range(r) for c in check(x, z)]
+        def member(regs: np.ndarray) -> np.ndarray:
+            """The one-term side of each register, canonical as it stands."""
+            codes = np.full(regs.shape + (r + 1,), blank)
+            codes[..., 0] = np.where(regs == false, blank, regs * k + true)
+            return codes.reshape(-1, r + 1)
 
-        sums = [[union([(t, add[x][y])]) for y in elements] for x in elements]
+        def eq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return np.concatenate([a, b]), np.concatenate([b, a])
+
+        plus_one, one_plus = s[:r, 0], s[0, :r]  # [z, e]: e in z + 1, e in 1 + z
+        scaled = np.column_stack([quot, np.full(r, zero)])  # [a, e]: a^-1 e
+        negatives = int(((s[:, :, zero] == true).sum(axis=1) != 1).sum())
         axioms = [
             # nonempty sums: z + 1 has a member
-            [(true, frozenset().union(*sums[z][0])) for z in range(r)],
+            (member(np.full(r, true)), side(plus_one, np.full_like(plus_one, true))),
             # commutativity: z + 1 = 1 + z
-            [c for z in range(r) for c in eq(sums[z][0], sums[0][z])],
-            # associativity: (x + 1) + z = x + (1 + z)
-            every(
-                lambda x, z: eq(
-                    union((c, add[w][z]) for w, c in add[x][0]),
-                    union((c, add[x][u]) for u, c in add[0][z]),
-                )
+            eq(member(plus_one), member(one_plus)),
+            # associativity: (x + 1) + z = x + (1 + z), as [x, z, e, w] term arrays
+            eq(
+                side(plus_one[:, None, None, :], s[:, :r].transpose(1, 2, 0)[None]),
+                side(one_plus[None, :, None, :], s[:r].transpose(0, 2, 1)[:, None]),
             ),
-            # distributivity: a(z + 1) = az + a
-            every(
-                lambda a, z: eq(
-                    [sums[z][0][e if e == zero else mul(inv(a), e)] for e in elements],
-                    sums[mul(a, z)][a],
-                )
+            # distributivity: a(z + 1) = az + a, as [a, z, e]
+            eq(
+                member(plus_one[nonzero[None, :, None], scaled[:, None, :]]),
+                member(s[mul[:, :, None], nonzero[:, None, None], elements]),
             ),
             # unique negatives: 0 in x + y is a constant, so this is decided here
-            [(true, frozenset()) for x in elements if [s[zero] for s in sums[x]].count(true) != 1],
-            # reversibility: x in 1 + z implies z in x + (-1)
-            every(lambda x, z: [(sums[0][z][x], sums[x][minus_one][z])]),
+            (member(np.full(negatives, true)), member(np.full(negatives, false))),
+            # reversibility: x in 1 + z implies z in x + (-1), as [x, z]
+            (member(one_plus[:, :r].T), member(s[:r, minus_one, :r])),
         ]
 
-        sides: dict[frozenset[int], int] = {}
-        pairs: dict[int, int] = {}
+        lhs, rhs = (np.concatenate(part) for part in zip(*axioms))
+        axiom = np.repeat(np.arange(len(axioms)), [len(a) for a, _ in axioms])
+        # L -> R holds as written when every term of L is in R, or when R is true
+        implied = ((lhs[:, :, None] == rhs[:, None, :]).any(axis=2) | (lhs == blank)).all(axis=1)
+        kept = ~implied & (rhs[:, 0] != true_side[0])
+        sides, ids = _unique_rows(np.concatenate([lhs[kept], rhs[kept]]))
+        rows, _ = _unique_rows(np.column_stack([axiom[kept], ids.reshape(2, -1).T]))
+        self.clauses = [rows[rows[:, 0] == i, 1:].T for i in range(len(axioms))]
 
-        def register(term: int) -> int:
-            u, v = divmod(term, n)
-            return u if v == t else pairs.setdefault(term, t + 2 + len(pairs))
+        u, v = np.divmod(sides, k)
+        filled = sides != blank
+        paired = filled & (v < t)
+        pairs, pair_ids = _unique_rows(sides[paired][:, None])
+        regs = np.where(filled & (v == true), u, false)
+        regs[paired] = t + 2 + pair_ids
+        # side_regs[c, i]: the register of the c-th term of side i; blanks sort last and read false
+        self.side_regs = regs[:, : max(int(filled.sum(axis=1).max(initial=0)), 1)].T
+        self.pair_regs = np.stack(np.divmod(pairs[:, 0], k))
 
-        self.clauses = []
-        for clauses in axioms:
-            kept = list({(a, b) for a, b in clauses if not (a <= b or true <= b)})
-            ids = [[sides.setdefault(side, len(sides)) for side in c] for c in kept]
-            self.clauses.append(np.array(ids, dtype=np.intp).reshape(-1, 2).T)
-        terms = [[register(term) for term in sorted(side)] or [t + 1] for side in sides]
-        self.side_terms = np.array([i for ts in terms for i in ts], dtype=np.intp)
-        self.side_starts = np.cumsum([0] + [len(ts) for ts in terms], dtype=np.intp)[:-1]
-        self.pair_regs = np.array([divmod(p, n) for p in pairs], dtype=np.intp).reshape(-1, 2).T
+    def failures(self, words: np.ndarray) -> np.ndarray:
+        """First failing axiom of 64 candidates a word, words[i] holding variable i.
 
-    def failures(self, bits: np.ndarray) -> np.ndarray:
-        """First failing axiom of each candidate, bits[i] holding variable i of every candidate.
-
-        Returns booleans of shape (len(AXIOM_ORDER), n); [i, k] is set when
-        AXIOM_ORDER[i] is the first axiom candidate k fails.
+        Returns words of shape (len(AXIOM_ORDER), words.shape[1]); bit j of
+        [i, w] is set when AXIOM_ORDER[i] is the first axiom that the
+        candidate at bit j of word w fails.
         """
-        n = bits.shape[1]
-        words = np.packbits(np.pad(bits, ((0, 0), (0, -n % 64))), axis=1, bitorder="little")
-        words = words.view("<u8")
-        ones = np.full((1, words.shape[1]), ~np.uint64(0), dtype=words.dtype)
+        ones = np.full((1, words.shape[1]), ~np.uint64(0))
         pair_ands = words[self.pair_regs[0]] & words[self.pair_regs[1]]
         regs = np.concatenate([words, ones, ~ones, pair_ands])
-        sides = np.bitwise_or.reduceat(regs[self.side_terms], self.side_starts, axis=0)
-        first = np.zeros((len(self.clauses), words.shape[1]), dtype=words.dtype)
+        sides = np.bitwise_or.reduce(regs[self.side_regs], axis=0)
+        first = np.zeros((len(self.clauses), words.shape[1]), dtype=np.uint64)
         seen = first[0].copy()
         for row, (lhs, rhs) in zip(first, self.clauses):
             row |= np.bitwise_or.reduce(sides[lhs] & ~sides[rhs], axis=0) & ~seen
             seen |= row
-        bools = np.unpackbits(first.view(np.uint8), axis=1, bitorder="little")
-        return bools[:, :n].astype(bool)
+        return first
 
 
-def _row_sums(bp: BlockPartition, bits: np.ndarray) -> np.ndarray:
-    """Per pi row and subset: the row's weight."""
+def _ample_screen(bp: BlockPartition, words: np.ndarray) -> np.ndarray:
+    """Words of the ample screen, 2 * min(row weight) > r, bit-sliced over block words.
+
+    Each pi row's weight is summed in a ripple counter of bit planes, the
+    counter compared with r // 2 + 1 from its low plane up, and the
+    comparisons ANDed over the rows.
+    """
     r = bp.r
-    out = np.zeros((r, bits.shape[1]), dtype=np.int16)
-    for i, block in enumerate(bp.blocks):
-        for code in block:
-            out[code // r] += bits[i]
-    return out
+    pi = words[np.array(bp.pair_to_block, dtype=np.intp).reshape(r, r)]  # [x, y, word]
+    planes = [np.zeros_like(pi[:, 0]) for _ in range(r.bit_length())]
+    for y in range(r):
+        carry = pi[:, y]
+        for i, plane in enumerate(planes):
+            planes[i], carry = plane ^ carry, plane & carry
+    least = r // 2 + 1
+    # at_least: the counter's planes below i read at least least's bits below i
+    at_least = np.full_like(planes[0], ~np.uint64(0))
+    for i, plane in enumerate(planes):
+        at_least = plane & at_least if least >> i & 1 else plane | at_least
+    return np.bitwise_and.reduce(at_least, axis=0)
 
 
 def shard_span(b: int, i: int, n: int) -> tuple[int, int]:
@@ -325,21 +372,35 @@ def shard_span(b: int, i: int, n: int) -> tuple[int, int]:
 
 def _chunks(
     bp: BlockPartition, span: tuple[int, int] | None
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(masks t ^ (t >> 1), block bits as 0/1 rows, ample screen) per chunk of positions t.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(first position, block words, valid words, screen words) per chunk of positions t.
 
-    span is a half-open range of positions, all of them by default;
-    ValueError unless 0 <= lo <= hi <= 2^b.
+    A chunk is a run of 64-aligned words, first a multiple of 64: bit j of
+    words[i, w] is block bit i of the mask gray(t) = t ^ (t >> 1) at
+    position t = first + 64 w + j.  With G = gray(first + 64 w), that mask
+    is G ^ gray(j), so the word is P_i ^ -(G >> i & 1), where P_i holds
+    bit i of gray(j) for j < 64 and is zero for i >= 6 (Knuth, TAOCP 4A,
+    7.2.1.1).  Valid words mark the positions inside the span, which only
+    the span's first and last words can lack, and the ample screen's
+    words are valid ones only.  span is a half-open range of positions,
+    all of them by default; ValueError unless 0 <= lo <= hi <= 2^b.
     """
     lo, hi = span if span is not None else shard_span(bp.b, 0, 1)
     if not 0 <= lo <= hi <= 1 << bp.b:
         raise ValueError(f"span ({lo}, {hi}) is not within [0, 2^{bp.b}]")
-    for start in range(lo, hi, 1 << CHUNK_BITS):
-        t = np.arange(start, min(start + (1 << CHUNK_BITS), hi), dtype=np.uint64)
-        masks = t ^ (t >> np.uint64(1))
-        octets = masks.astype("<u8").view(np.uint8).reshape(-1, 8)[:, : -(-bp.b // 8)]
-        bits = np.unpackbits(octets, axis=1, bitorder="little")[:, : bp.b].T.copy()
-        yield masks, bits, 2 * _row_sums(bp, bits).min(axis=0) > bp.r
+    shifts = np.arange(bp.b, dtype=np.uint64)[:, None]
+    j = np.arange(64, dtype=np.uint64)
+    patterns = np.bitwise_or.reduce(((j ^ j >> 1) >> shifts & 1) << j, axis=1)[:, None]
+    ones = (1 << 64) - 1
+    start = lo - lo % 64
+    stop = hi + -hi % 64 if hi > lo else start
+    for first in range(start, stop, 1 << CHUNK_BITS):
+        bases = np.arange(first, min(first + (1 << CHUNK_BITS), stop), 64, dtype=np.uint64)
+        words = patterns ^ -((bases ^ bases >> 1) >> shifts & 1)
+        valid = np.full(len(bases), ones, dtype=np.uint64)
+        valid[0] &= np.uint64(ones << max(lo - first, 0) & ones)
+        valid[-1] &= np.uint64(ones >> max(int(bases[-1]) + 64 - hi, 0))
+        yield first, words, valid, _ample_screen(bp, words) & valid
 
 
 def _survivors(
@@ -348,13 +409,22 @@ def _survivors(
     """(masks, block bits, ample flags) of the kept subsets, a chunk at a time in Gray-code order.
 
     Full mode keeps those passing the axiom kernel, ample-only mode those
-    passing the ample screen.
+    passing the ample screen.  Only the kept positions are unpacked from
+    the words; their block bits are 0/1 rows, one column per mask.
     """
     if mode == MODE_FULL:
         circuit = AxiomCircuit(bp.group, bp.minus_one, bp.pair_to_block)
-    for masks, bits, ample in _chunks(bp, span):
-        keep = ~circuit.failures(bits).any(axis=0) if mode == MODE_FULL else ample
-        yield masks[keep], bits[:, keep], ample[keep]
+    shifts = np.arange(bp.b, dtype=np.uint64)[:, None]
+    for first, words, valid, screen in _chunks(bp, span):
+        if mode == MODE_FULL:
+            keep = valid & ~np.bitwise_or.reduce(circuit.failures(words), axis=0)
+        else:
+            keep = screen
+        at = np.flatnonzero(np.unpackbits(keep.view(np.uint8), bitorder="little"))
+        t = at.astype(np.uint64) + np.uint64(first)
+        masks = t ^ t >> np.uint64(1)
+        ample = np.unpackbits(screen.view(np.uint8), bitorder="little")[at].astype(bool)
+        yield masks, (masks >> shifts & 1).astype(np.uint8), ample
 
 
 def certified_candidates(
@@ -388,16 +458,21 @@ def _pi_strings(bp: BlockPartition, keys: np.ndarray) -> list[str]:
     return out
 
 
+@lru_cache(maxsize=64)
 def _key_weights(bp: BlockPartition) -> np.ndarray:
     """weights[k, i] = 2^(b-1-s_k(i)) for the k-th automorphism s_k fixing -1.
 
     float64 for b <= KEY_BITS; past that, Python ints in an object array,
-    which keep the keys exact at any b but are far slower.
+    which keep the keys exact at any b but are far slower.  Built once per
+    partition and shared, so read-only.
     """
     shifts = bp.b - 1 - block_permutations(bp)
     if bp.b <= KEY_BITS:
-        return np.ldexp(1.0, shifts)
-    return np.array([[1 << s for s in row] for row in shifts.tolist()], dtype=object)
+        weights = np.ldexp(1.0, shifts)
+    else:
+        weights = np.array([[1 << s for s in row] for row in shifts.tolist()], dtype=object)
+    weights.flags.writeable = False
+    return weights
 
 
 def _orbit_keys(weights: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -567,22 +642,24 @@ def verify_all_subsets(
     if bp.b > budget_bits:
         raise CapacityError(f"2^{bp.b} subsets exceeds the 2^{budget_bits} budget")
     circuit = AxiomCircuit(bp.group, bp.minus_one, bp.pair_to_block)
-    failures = np.zeros(len(AXIOM_ORDER), dtype=np.int64)
-    certified = certified_unverified = 0
-    for _, bits, screen in _chunks(bp, None):
-        first = circuit.failures(bits)
-        failures += first.sum(axis=1)
-        certified += int(screen.sum())
-        certified_unverified += int((screen & first.any(axis=0)).sum())
+    # per row: first failures of each axiom, certified, certified but failing
+    tallies = np.zeros(len(AXIOM_ORDER) + 2, dtype=np.int64)
+    for _, words, valid, screen in _chunks(bp, None):
+        first = circuit.failures(words) & valid
+        failed = np.bitwise_or.reduce(first, axis=0)
+        rows = np.vstack([first, screen, screen & failed])
+        # popcounts through bytes: np.bitwise_count needs numpy 2
+        tallies += np.unpackbits(rows.view(np.uint8), axis=1).sum(axis=1, dtype=np.int64)
+    *failures, certified, certified_unverified = tallies.tolist()
     total = 1 << bp.b
     return SweepReport(
         bp.group,
         bp.minus_one,
         total,
-        total - int(failures.sum()),
+        total - sum(failures),
         certified,
         certified_unverified,
-        {name: int(n) for name, n in zip(AXIOM_ORDER, failures) if n},
+        {name: n for name, n in zip(AXIOM_ORDER, failures) if n},
     )
 
 

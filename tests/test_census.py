@@ -1,6 +1,8 @@
 """Exhaustive enumeration over block subsets with isomorphism rejection."""
 
 import functools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -282,6 +284,26 @@ def test_batch_sweep_z7_tallies(z7_blocks):
     # block unions satisfy the two closure symmetries by construction, so the
     # only axioms that can fail are nonempty sums and associativity
     assert set(sweep.failure_counts) <= {"nonempty-sums", "associativity"}
+
+
+def test_batch_sweep_tallies_match_the_golden_file():
+    # tests/data/sweep_tallies.json: the tallies of every partition of order
+    # <= 9, written by the sweep that unpacked each mask into bytes
+    rows = json.loads((Path(__file__).parent / "data" / "sweep_tallies.json").read_text())
+    assert [(row["group"], row["minus_one"]) for row in rows] == [
+        (g.spec_string(), m1) for g in abelian_groups_up_to(9) for m1 in g.involution_candidates()
+    ]
+    for row in rows:
+        sweep = verify_all_subsets(compute_blocks(AbelianGroup.from_spec(row["group"]), row["minus_one"]))
+        assert {
+            "group": sweep.group.spec_string(),
+            "minus_one": sweep.minus_one,
+            "subsets_examined": sweep.subsets_examined,
+            "verified_count": sweep.verified_count,
+            "certified_count": sweep.certified_count,
+            "certified_unverified": sweep.certified_unverified,
+            "failure_counts": sweep.failure_counts,
+        } == row
 
 
 def test_batch_sweep_budget_and_order_caps(z7_blocks):

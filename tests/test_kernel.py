@@ -1,9 +1,11 @@
-"""The bit-sliced axiom kernel against scalar verify_axioms.
+"""The word path of a sweep against scalar references.
 
 The kernel must name the same first failing axiom as verify_axioms on
 every block union (exhaustively up to order 6, on hypothesis draws up to
 order 11) and on arbitrary relations, where commutativity can fail and
-reversibility can be violated.
+reversibility can be violated.  The words written from Gray-code
+positions must be the bits of t ^ (t >> 1), and the bit-sliced ample
+screen must agree with is_ample.
 """
 
 from functools import cache
@@ -25,7 +27,7 @@ from hyperblocks import (
     is_ample,
     verify_axioms,
 )
-from hyperblocks.census import AxiomCircuit, _survivors
+from hyperblocks.census import CHUNK_BITS, AxiomCircuit, _ample_screen, _chunks, _survivors
 from hyperblocks.hyperfields import AXIOM_ORDER
 
 
@@ -50,10 +52,21 @@ def relation_circuit(spec, m1):
     return g, AxiomCircuit(g, m1, range(g.order**2))
 
 
+def words_of(masks, nvars):
+    """Masks packed 64 to a uint64 word: bit k % 64 of words[i, k // 64] is bit i of masks[k]."""
+    bits = np.array([[m >> i & 1 for m in masks] for i in range(nvars)], dtype=np.uint8)
+    bits = np.pad(bits, ((0, 0), (0, -len(masks) % 64)))
+    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+
+
+def bits_of(words, n):
+    """The first n bits of each row of uint64 words, as 0/1 rows."""
+    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :n]
+
+
 def first_failures(circuit, masks):
     """The kernel's first failing axiom per mask, None where every axiom holds."""
-    bits = np.array([[m >> i & 1 for m in masks] for i in range(circuit.nvars)], dtype=np.uint8)
-    first = circuit.failures(bits)
+    first = bits_of(circuit.failures(words_of(masks, circuit.nvars)), len(masks))
     return [AXIOM_ORDER[col.argmax()] if col.any() else None for col in first.T]
 
 
@@ -143,3 +156,46 @@ def test_full_census_on_unaligned_gray_span():
     assert [(c.canonical_pi, c.members, c.example_subset, c.ample) for c in census.classes] == [
         (key, members, subset, ample) for key, (members, subset, ample) in sorted(classes.items())
     ]
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_chunk_words_are_the_gray_code_masks(data):
+    # spans shorter than a word, unaligned, across chunks, and ending at 2^b
+    spec = data.draw(st.sampled_from(["Z1", "Z3", "Z5", "Z7", "Z9", "Z3xZ3"]))
+    bp = compute_blocks(AbelianGroup.from_spec(spec), 0)
+    total = 1 << bp.b
+    length = min(total, data.draw(st.one_of(st.integers(0, 63), st.integers(64, 3 << CHUNK_BITS))))
+    lo = total - length if data.draw(st.booleans()) else data.draw(st.integers(0, total - length))
+    positions = []
+    for first, words, valid, _ in _chunks(bp, (lo, lo + length)):
+        t = first + np.arange(64 * words.shape[1])
+        gray = t ^ t >> 1
+        assert (bits_of(words, len(t)) == gray >> np.arange(bp.b)[:, None] & 1).all()
+        inside = bits_of(valid[None], len(t))[0].astype(bool)
+        assert (inside == ((t >= lo) & (t < lo + length))).all()
+        positions += t[inside].tolist()
+    assert positions == list(range(lo, lo + length))
+
+
+def screen_flags(bp, masks):
+    return bits_of(_ample_screen(bp, words_of(masks, bp.b))[None], len(masks))[0].astype(bool)
+
+
+@pytest.mark.parametrize("spec,m1", partitions(1, 6))
+def test_ample_screen_matches_is_ample_on_every_small_block_union(spec, m1):
+    bp = compute_blocks(AbelianGroup.from_spec(spec), m1)
+    masks = list(range(1 << bp.b))
+    assert screen_flags(bp, masks).tolist() == [is_ample(build_candidate(bp, m)) for m in masks]
+
+
+@pytest.mark.parametrize("spec,m1", partitions(7, 11))
+@settings(max_examples=15)
+@given(data=st.data())
+def test_ample_screen_matches_is_ample_on_drawn_block_unions(spec, m1, data):
+    bp = compute_blocks(AbelianGroup.from_spec(spec), m1)
+    mask = st.integers(0, (1 << bp.b) - 1)
+    # ORs of three masks too: at half density hardly any subset is ample
+    dense = st.tuples(mask, mask, mask).map(lambda ms: ms[0] | ms[1] | ms[2])
+    masks = data.draw(st.lists(st.one_of(mask, dense), min_size=1, max_size=70))
+    assert screen_flags(bp, masks).tolist() == [is_ample(build_candidate(bp, m)) for m in masks]

@@ -11,7 +11,9 @@ weights (column y weighs what row -y weighs), so the ample screen is
 counter per pi row, a comparison with r // 2 + 1, an AND over the rows
 (_ample_screen).  Every batch verification (the full-mode census and
 verify_all_subsets) runs one compiled, bit-sliced axiom circuit on the
-same words (AxiomCircuit); verify_axioms is left to single candidates.
+same words (AxiomCircuit): on a union of blocks only nonempty sums and
+associativity can fail, so it compiles just those, as pairs of sides
+that must be equal; verify_axioms is left to single candidates.
 Tallies are popcounts of words; only the kept positions of a chunk are
 unpacked into masks and block bits.
 
@@ -210,34 +212,36 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class AxiomCircuit:
-    """The axioms of verify_axioms as one Boolean circuit, evaluated bit-sliced.
+    """The axioms a union of blocks can fail, as one Boolean circuit over its block bits.
 
-    Variable var_of[x * r + y] stands for the pi bit (x, y): the pair code
-    for an arbitrary relation, the block index for a union of blocks.  The
-    register table s[x, y, e] holds exactly when e is in x + y: for
-    nonzero x, y and e it is the variable of pi(y^-1 x, y^-1 e); whether 0
-    is in x + y, and every sum with a zero operand, are the constants true
-    and false.  Each axiom compiles to implications L -> R between ORs of
-    terms, a term being the AND of at most two registers.  The sides are
-    built as numpy term arrays (associativity's (x + 1) + z, for instance,
-    ORs s[x, 1, w] AND s[w, z, e] over w) and made canonical: a term with
+    Blocks are closed under both block moves, so commutativity and
+    reversibility hold on every union of blocks; distributivity and unique
+    negatives hold for every relation.  So only nonempty sums and
+    associativity are compiled, as pairs of sides that must be equal: the
+    constant true side against z + 1, and (x + 1) + z against x + (1 + z)
+    for each e.  A side is an OR of terms, a term the AND of at most two
+    registers of the table s[x, y, e], which holds exactly when e is in
+    x + y: for nonzero x, y and e it is the block bit of
+    pi(y^-1 x, y^-1 e); whether 0 is in x + y, and every sum with a zero
+    operand, are the constants true and false.  The sides are built as
+    numpy term arrays (associativity's (x + 1) + z, for instance, ORs
+    s[x, 1, w] AND s[w, z, e] over w) and made canonical: a term with
     false is blanked, the terms are sorted, repeats blanked and sorted
-    again, and a side with a true term is true.  Implications that hold
-    as written (every term of L is in R, or R is true) are dropped:
-    distributivity and unique negatives for every relation, commutativity
-    and reversibility for unions of blocks.  Equal sides and equal clauses
-    are merged as equal rows, by one lexsort each.  Evaluation is
-    bit-sliced (Biham, FSE 1997): a uint64 word holds one variable of 64
-    candidates, and each side is the OR of a fixed number of register
-    rows, its blanks reading false.
+    again, and a side with a true term is true.  A pair whose canonical
+    sides are equal holds as written and is dropped.  Equal sides, and
+    equal pairs as (min id, max id), are merged by one lexsort each.
+    Evaluation is bit-sliced (Biham, FSE 1997): a uint64 word holds one
+    block bit of 64 candidates, each side is the OR of a fixed number of
+    register rows, its blanks reading false, and a pair fails where its
+    sides differ.
     """
 
-    def __init__(self, group: AbelianGroup, minus_one: int, var_of: Sequence[int]):
-        r = group.order
+    def __init__(self, bp: BlockPartition):
+        group, minus_one, r = bp.group, bp.minus_one, bp.r
         zero = r  # elements are 0..r, r standing for 0
-        var = np.asarray(var_of, dtype=np.intp)
-        # registers: variables 0..t-1, constant true t, constant false t + 1, pair ANDs
-        t = self.nvars = int(var.max(initial=-1)) + 1
+        var = np.array(bp.pair_to_block, dtype=np.intp)
+        # registers: block bits 0..b-1, constant true b, constant false b + 1, pair ANDs
+        t = bp.b
         true, false = t, t + 1
         mul = np.array([group.mul_row(x) for x in range(r)], dtype=np.intp)
         quot = mul[[group.inv(y) for y in range(r)]]  # quot[y, x] = y^-1 x
@@ -269,47 +273,25 @@ class AxiomCircuit:
             codes[(codes == true_side[0]).any(axis=-1)] = true_side
             return codes.reshape(-1, r + 1)
 
-        def member(regs: np.ndarray) -> np.ndarray:
-            """The one-term side of each register, canonical as it stands."""
-            codes = np.full(regs.shape + (r + 1,), blank)
-            codes[..., 0] = np.where(regs == false, blank, regs * k + true)
-            return codes.reshape(-1, r + 1)
-
-        def eq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return np.concatenate([a, b]), np.concatenate([b, a])
-
         plus_one, one_plus = s[:r, 0], s[0, :r]  # [z, e]: e in z + 1, e in 1 + z
-        scaled = np.column_stack([quot, np.full(r, zero)])  # [a, e]: a^-1 e
-        negatives = int(((s[:, :, zero] == true).sum(axis=1) != 1).sum())
-        axioms = [
+        equalities = [
             # nonempty sums: z + 1 has a member
-            (member(np.full(r, true)), side(plus_one, np.full_like(plus_one, true))),
-            # commutativity: z + 1 = 1 + z
-            eq(member(plus_one), member(one_plus)),
+            (np.tile(true_side, (r, 1)), side(plus_one, np.full_like(plus_one, true))),
             # associativity: (x + 1) + z = x + (1 + z), as [x, z, e, w] term arrays
-            eq(
+            (
                 side(plus_one[:, None, None, :], s[:, :r].transpose(1, 2, 0)[None]),
                 side(one_plus[None, :, None, :], s[:r].transpose(0, 2, 1)[:, None]),
             ),
-            # distributivity: a(z + 1) = az + a, as [a, z, e]
-            eq(
-                member(plus_one[nonzero[None, :, None], scaled[:, None, :]]),
-                member(s[mul[:, :, None], nonzero[:, None, None], elements]),
-            ),
-            # unique negatives: 0 in x + y is a constant, so this is decided here
-            (member(np.full(negatives, true)), member(np.full(negatives, false))),
-            # reversibility: x in 1 + z implies z in x + (-1), as [x, z]
-            (member(one_plus[:, :r].T), member(s[:r, minus_one, :r])),
         ]
 
-        lhs, rhs = (np.concatenate(part) for part in zip(*axioms))
-        axiom = np.repeat(np.arange(len(axioms)), [len(a) for a, _ in axioms])
-        # L -> R holds as written when every term of L is in R, or when R is true
-        implied = ((lhs[:, :, None] == rhs[:, None, :]).any(axis=2) | (lhs == blank)).all(axis=1)
-        kept = ~implied & (rhs[:, 0] != true_side[0])
+        lhs, rhs = (np.concatenate(part) for part in zip(*equalities))
+        axiom = np.repeat(np.arange(len(equalities)), [len(a) for a, _ in equalities])
+        kept = (lhs != rhs).any(axis=1)
         sides, ids = _unique_rows(np.concatenate([lhs[kept], rhs[kept]]))
-        rows, _ = _unique_rows(np.column_stack([axiom[kept], ids.reshape(2, -1).T]))
-        self.clauses = [rows[rows[:, 0] == i, 1:].T for i in range(len(axioms))]
+        a, b = ids.reshape(2, -1)
+        rows, _ = _unique_rows(np.column_stack([axiom[kept], np.minimum(a, b), np.maximum(a, b)]))
+        # the side ids of nonempty sums' pairs, then of associativity's, as two rows each
+        self.equalities = [rows[rows[:, 0] == i, 1:].T for i in range(len(equalities))]
 
         u, v = np.divmod(sides, k)
         filled = sides != blank
@@ -322,21 +304,23 @@ class AxiomCircuit:
         self.pair_regs = np.stack(np.divmod(pairs[:, 0], k))
 
     def failures(self, words: np.ndarray) -> np.ndarray:
-        """First failing axiom of 64 candidates a word, words[i] holding variable i.
+        """First failing axiom of 64 candidates a word, words[i] holding block bit i.
 
         Returns words of shape (len(AXIOM_ORDER), words.shape[1]); bit j of
         [i, w] is set when AXIOM_ORDER[i] is the first axiom that the
-        candidate at bit j of word w fails.
+        candidate at bit j of word w fails.  The rows of the four axioms
+        that hold on every union of blocks are zero.
         """
         ones = np.full((1, words.shape[1]), ~np.uint64(0))
         pair_ands = words[self.pair_regs[0]] & words[self.pair_regs[1]]
         regs = np.concatenate([words, ones, ~ones, pair_ands])
         sides = np.bitwise_or.reduce(regs[self.side_regs], axis=0)
-        first = np.zeros((len(self.clauses), words.shape[1]), dtype=np.uint64)
-        seen = first[0].copy()
-        for row, (lhs, rhs) in zip(first, self.clauses):
-            row |= np.bitwise_or.reduce(sides[lhs] & ~sides[rhs], axis=0) & ~seen
-            seen |= row
+        empty, unassociative = (
+            np.bitwise_or.reduce(sides[a] ^ sides[b], axis=0) for a, b in self.equalities
+        )
+        first = np.zeros((len(AXIOM_ORDER), words.shape[1]), dtype=np.uint64)
+        first[AXIOM_ORDER.index("nonempty-sums")] = empty
+        first[AXIOM_ORDER.index("associativity")] = unassociative & ~empty
         return first
 
 
@@ -413,7 +397,7 @@ def _survivors(
     the words; their block bits are 0/1 rows, one column per mask.
     """
     if mode == MODE_FULL:
-        circuit = AxiomCircuit(bp.group, bp.minus_one, bp.pair_to_block)
+        circuit = AxiomCircuit(bp)
     shifts = np.arange(bp.b, dtype=np.uint64)[:, None]
     for first, words, valid, screen in _chunks(bp, span):
         if mode == MODE_FULL:
@@ -641,7 +625,7 @@ def verify_all_subsets(
     """
     if bp.b > budget_bits:
         raise CapacityError(f"2^{bp.b} subsets exceeds the 2^{budget_bits} budget")
-    circuit = AxiomCircuit(bp.group, bp.minus_one, bp.pair_to_block)
+    circuit = AxiomCircuit(bp)
     # per row: first failures of each axiom, certified, certified but failing
     tallies = np.zeros(len(AXIOM_ORDER) + 2, dtype=np.int64)
     for _, words, valid, screen in _chunks(bp, None):

@@ -32,6 +32,7 @@ from .catalog import (
 from .census import (
     MODE_AMPLE_ONLY,
     MODE_FULL,
+    SUBSET_BUDGET_BITS,
     census_all_minus_ones,
     enumerate_subsets,
     shard_span,
@@ -54,6 +55,7 @@ from .hyperfields import (
     verify_axioms,
 )
 from .linear import (
+    BRUTE_BUDGET,
     LinearSystem,
     SolverInvariantError,
     ample_solve,
@@ -609,7 +611,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--minus-one", type=int, default=None)
     sp.add_argument("--mode", choices=["full", "ample-only"], default="full")
     sp.add_argument(
-        "--budget", type=_int_at_least(0), default=30, help="max block count, as bits"
+        "--budget",
+        type=_int_at_least(0),
+        default=SUBSET_BUDGET_BITS,
+        help="max block count, as bits",
     )
     sp.add_argument("--shard", help="I/N: run only the I-th of N contiguous spans")
     _add_common(sp)
@@ -646,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fetvins", help="solvability of small linear systems")
     _add_candidate_source(sp)
     sp.add_argument("--nmax", type=_int_at_least(1), default=3, help="largest variable count")
-    sp.add_argument("--budget", type=_int_at_least(0), default=10_000_000)
+    sp.add_argument("--budget", type=_int_at_least(0), default=BRUTE_BUDGET)
     sp.add_argument("--system", help="JSON equations; -1 is the zero coefficient")
     _add_common(sp, fmt=("text", "json"))
     sp.set_defaults(func=cmd_fetvins)

@@ -237,9 +237,11 @@ def verify_axioms(h: HyperfieldCandidate) -> VerificationReport:
     for every relation: both sides of a(z + 1) = az + a are the same pi
     bits, and whether 0 is in x + y depends only on x = -y.  Commutativity
     and reversibility hold for every union of blocks, because the block
-    moves map each pair they compare to the other.  This function still
-    checks all six, because it also takes arbitrary relations; batch sweeps
-    use the compiled census.AxiomCircuit, where identities compile away.
+    moves map each pair they compare to the other.  This function checks
+    all six, because it also takes arbitrary relations.  Batch sweeps take
+    only unions of blocks, so census.AxiomCircuit compiles just nonempty
+    sums and associativity; tests compare its first failures with this
+    function's.
     """
     r = h.r
     zero = h.zero

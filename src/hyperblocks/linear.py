@@ -101,11 +101,6 @@ def _validate(h: HyperfieldCandidate, system: LinearSystem) -> None:
                 raise ValueError(f"coefficient index {c} out of range for r={h.r}")
 
 
-def term_element(h: HyperfieldCandidate, coeff: int, value: int) -> int:
-    """The element c * x; zero if either side is zero."""
-    return _tables(h).prod[coeff][value]
-
-
 def _element_sum(t: _Tables, elements) -> int:
     """Multivalued sum of single elements, folded left from {0}."""
     sums = t.sums
@@ -130,10 +125,6 @@ def _term_sum(t: _Tables, eq: tuple[int, ...], assignment) -> int:
     for c, x in zip(eq, assignment):
         total = sums[total][prod[c][x]]
     return total
-
-
-def equation_sum(h: HyperfieldCandidate, eq: tuple[int, ...], assignment) -> int:
-    return _term_sum(_tables(h), eq, assignment)
 
 
 def _holds(t: _Tables, system: LinearSystem, assignment) -> bool:

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from hyperblocks import census
-from hyperblocks.cli import main
+from hyperblocks import census, linear
+from hyperblocks.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -266,6 +266,12 @@ def test_count_z13_within_the_default_budget(capsys):
     code, out, _ = run(capsys, "count", "--group", "Z13")
     assert code == 0
     assert "exact=1598203438 lower bound=268435456 (b'=85, 50 swaps)" in out
+
+
+def test_budget_defaults_are_the_library_constants():
+    parser = build_parser()
+    assert parser.parse_args(["census"]).budget == census.SUBSET_BUDGET_BITS
+    assert parser.parse_args(["fetvins"]).budget == linear.BRUTE_BUDGET
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ without exhaustive search over full assignments.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple
@@ -79,6 +78,10 @@ class _Tables(NamedTuple):
     add: list[list[int]]  # the candidate's add_table
     ample: bool
     sums: _SumRows
+    # r x (r+1): negdiv[c][x] = -x/c, zero when x is zero.  Row c solves the
+    # pin c v + x = 0 for v, and negdiv[c2][c1] = -c1/c2 is the factor of
+    # the tie c1 x1 + c2 x2 = 0, x2 = -c1/c2 x1.
+    negdiv: list[list[int]]
 
 
 def _tables(h: HyperfieldCandidate) -> _Tables:
@@ -88,16 +91,21 @@ def _tables(h: HyperfieldCandidate) -> _Tables:
         zero = h.zero
         prod = [h.group.mul_row(c) + [zero] for c in range(zero)] + [[zero] * (zero + 1)]
         add = h.add_table()
-        cached = _Tables(zero, prod, add, is_ample(h), _SumRows(add))
+        negdiv = [prod[prod[h.minus_one][h.group.inv(c)]] for c in range(zero)]
+        cached = _Tables(zero, prod, add, is_ample(h), _SumRows(add), negdiv)
         h._linear_tables = cached
     return cached
 
 
 def _validate(h: HyperfieldCandidate, system: LinearSystem) -> None:
-    zero = h.zero
+    zero, n = h.zero, system.n_vars
     for eq in system.equations:
+        if len(eq) != n:
+            raise ValueError("ragged equation lengths")
         for c in eq:
-            if c > zero:
+            if not 0 <= c <= zero:
+                if c < 0:
+                    raise ValueError("coefficients are element indices, must be >= 0")
                 raise ValueError(f"coefficient index {c} out of range for r={h.r}")
 
 
@@ -159,14 +167,15 @@ def brute_force_solve(
     total = (h.r + 1) ** n
     if total > budget:
         raise CapacityError(f"{total} assignments exceed the budget of {budget}")
+    t = _tables(h)
     for idx in range(1, total):  # index 0 is the all-zero assignment
         digits = []
-        t = idx
+        rem = idx
         for _ in range(n):
-            digits.append(domain[t % (h.r + 1)])
-            t //= h.r + 1
+            digits.append(domain[rem % (h.r + 1)])
+            rem //= h.r + 1
         assignment = tuple(digits)
-        if check(h, system, assignment):
+        if _holds(t, system, assignment):
             return assignment
     return None
 
@@ -189,9 +198,9 @@ def _pick(mask: int, zero: int) -> int:
     raise SolverInvariantError("empty solution set")
 
 
-def _solution_set(h: HyperfieldCandidate, t: _Tables, coeff: int, rest_mask: int) -> int:
-    """Values v with zero in coeff * v + rest: v ranges over -(rest)/coeff."""
-    row = t.prod[t.prod[h.minus_one][h.group.inv(coeff)]]
+def _solution_set(row: list[int], rest_mask: int) -> int:
+    """Values v with zero in c v + rest, given row = negdiv[c]: the image
+    of rest under x -> -x/c."""
     out = 0
     while rest_mask:
         low = rest_mask & -rest_mask
@@ -212,6 +221,12 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
     solved backwards (two at once where needed, which is where ampleness
     enters), and a residue where every variable is pinned three ways is
     small enough to search outright.
+
+    Every rule is one read from the candidate's tables: a pin reads the
+    -x/c row of its coefficient, a tie reads its factor -c1/c2 from the
+    same rows.  Ties live in a flat map from each tied variable straight
+    to its root and factor; a tie relabels the entries that pointed at
+    the variable it ties.
     """
     t = _tables(h)
     if not t.ample:
@@ -220,43 +235,13 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
     if k >= n:
         raise ValueError(f"need fewer equations than variables, got {k} >= {n}")
     _validate(h, system)
-    prod, add = t.prod, t.add
+    prod, add, negdiv = t.prod, t.add, t.negdiv
     zero = t.zero
     zero_bit = 1 << zero
 
-    parent: dict[int, tuple[int, int]] = {}  # var -> (ancestor, factor)
+    tied: dict[int, tuple[int, int]] = {}  # var -> (root, factor): x_var = factor * x_root
     assignment: dict[int, int] = {}  # root var -> element
-
-    def find(x: int) -> tuple[int, int]:
-        if x not in parent:
-            return x, 0
-        p, f = parent[x]
-        root, f2 = find(p)
-        resolved = (root, prod[f2][f])
-        parent[x] = resolved
-        return resolved
-
-    def normalize(eq: _Eq) -> _Eq:
-        terms: dict[int, int] = {}
-        consts = list(eq[1])
-        for var, coeff in eq[0].items():
-            root, factor = find(var)
-            coeff = prod[coeff][factor]
-            if root in assignment:
-                e = prod[coeff][assignment[root]]
-                if e != zero:
-                    consts.append(e)
-                continue
-            if root not in terms:
-                terms[root] = coeff
-                continue
-            # duplicate variable: merge through the coefficient sum
-            merged = add[terms[root]][coeff]
-            if merged & zero_bit:
-                del terms[root]  # cancellation is available, take it
-            else:
-                terms[root] = (merged & -merged).bit_length() - 1
-        return terms, consts
+    settled = False  # until something is pinned or tied, every equation is normal
 
     pending = [({v: c for v, c in enumerate(eq) if c != zero}, []) for eq in system.equations]
     deferred = []  # (variable, its residue equations), unwound in reverse
@@ -265,36 +250,67 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
     # of a pile, so at most n + k + 1 passes run.
     while True:
         kept = []
-        for eq in pending:
-            terms, consts = normalize(eq)
+        for terms, consts in pending:
+            if settled:
+                # normalize: variables become roots, assigned roots become
+                # constants, and duplicate roots merge through the sum of
+                # their coefficients
+                old, terms, consts = terms, {}, list(consts)
+                for var, coeff in old.items():
+                    if var in tied:
+                        var, factor = tied[var]
+                        coeff = prod[coeff][factor]
+                    if var in assignment:
+                        e = prod[coeff][assignment[var]]
+                        if e != zero:
+                            consts.append(e)
+                    elif var not in terms:
+                        terms[var] = coeff
+                    else:
+                        merged = add[terms[var]][coeff]
+                        if merged & zero_bit:
+                            del terms[var]  # cancellation is available, take it
+                        else:
+                            terms[var] = (merged & -merged).bit_length() - 1
             if len(terms) == 2 and consts:
-                # anchor the lower variable, which leaves a pin of the other
-                assignment[min(terms)] = 0
-                terms, consts = normalize((terms, consts))
+                # anchor the lower variable at 1, which leaves a pin of the other
+                var = min(terms)
+                assignment[var] = 0
+                consts.append(terms.pop(var))
             if not terms:
                 if not _element_sum(t, consts) & zero_bit:
                     raise SolverInvariantError("constant equation misses zero")
             elif len(terms) == 1:
                 (var, coeff), = terms.items()
                 rest = _element_sum(t, consts)
-                assignment[var] = _pick(_solution_set(h, t, coeff, rest), zero)
+                assignment[var] = _pick(_solution_set(negdiv[coeff], rest), zero)
+                settled = True
             elif len(terms) == 2 and not consts:
-                (v1, c1), (v2, c2) = sorted(terms.items())
+                (v1, c1), (v2, c2) = terms.items()
+                if v1 > v2:
+                    v1, c1, v2, c2 = v2, c2, v1, c1
                 # zero in c1 x1 + c2 x2 exactly when x2 = -c1/c2 * x1
-                factor = prod[h.minus_one][prod[h.group.inv(c2)][c1]]
-                parent[v2] = (v1, factor)
+                factor = negdiv[c2][c1]
+                for var, (root, f) in tied.items():
+                    if root == v2:
+                        tied[var] = (v1, prod[f][factor])
+                tied[v2] = (v1, factor)
+                settled = True
             else:
                 kept.append((terms, consts))
         dropped = len(kept) < len(pending)
         pending = kept
-        if dropped:
+        if dropped and pending:
             continue
 
         # only equations of weight >= 3 remain, each normalized in this pass
         residue = [eq for eq in pending if len(eq[0]) == 3 and not eq[1]]
         if not residue:
             break
-        occurrences = Counter(v for terms, _ in residue for v in terms)
+        occurrences: dict[int, int] = {}
+        for terms, _ in residue:
+            for v in terms:
+                occurrences[v] = occurrences.get(v, 0) + 1
         light = [v for v, cnt in occurrences.items() if cnt <= 2]
         if light:
             var = min(light)
@@ -304,25 +320,26 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
         else:
             # the pile's equations turn constant and drop in the next pass
             _solve_pile(t, residue, assignment)
+            settled = True
 
     # equations still present all have weight >= 4 and at least three
     # variable terms; nonzero defaults satisfy them
-    free = [v for v in range(n) if v not in parent and v not in assignment]
-    for var in free:
-        assignment[var] = 0
+    for var in range(n):
+        if var not in tied and var not in assignment:
+            assignment[var] = 0
 
     for var, eqs in reversed(deferred):
         mask = (zero_bit << 1) - 1  # every element
         for terms, _ in eqs:
             rest = _element_sum(t, (prod[c][assignment[v]] for v, c in terms.items() if v != var))
-            mask &= _solution_set(h, t, terms[var], rest)
+            mask &= _solution_set(negdiv[terms[var]], rest)
         if not mask:
             raise SolverInvariantError("deferred variable has no consistent value")
         assignment[var] = _pick(mask, zero)
 
     result = []
     for var in range(n):
-        root, factor = find(var)
+        root, factor = tied.get(var, (var, 0))
         result.append(prod[factor][assignment[root]])
     solution = tuple(result)
     # the solver's correctness gate; the system was validated on entry

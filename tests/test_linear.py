@@ -1,10 +1,12 @@
 """Linear systems over hyperfields: the brute-force and structured solvers."""
 
 import functools
+import hashlib
 import itertools
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,21 @@ def test_coefficient_range_checked(z3_named):
     h = z3_named["BC"]
     with pytest.raises(ValueError):
         check(h, LinearSystem.make([[0, 7]]), (0, 0))
+    # a negative index would read a table row from the end
+    negative = LinearSystem(2, ((0, -1),))
+    for call in (ample_solve, brute_force_solve, lambda h, s: check(h, s, (0, 0))):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            call(h, negative)
+
+
+def test_equation_length_must_match_variable_count(z3_named):
+    # a directly built system skips LinearSystem.make's check; every entry
+    # point still refuses it, where zip would silently drop or miss terms
+    h = z3_named["BC"]
+    for system in (LinearSystem(2, ((0, 0, 0),)), LinearSystem(3, ((0, 0, 0), (0, 0)))):
+        for call in (ample_solve, brute_force_solve, lambda h, s: check(h, s, (0,) * s.n_vars)):
+            with pytest.raises(ValueError, match="ragged equation lengths"):
+                call(h, system)
 
 
 def test_set_sum_krasner():
@@ -90,6 +107,22 @@ def test_brute_force_solve_examples():
     # assignment
     z = s.zero
     assert brute_force_solve(s, LinearSystem.make([[0, z], [z, 0]])) is None
+
+
+def test_brute_force_solve_validates_once(monkeypatch):
+    calls = 0
+    validate = linear._validate
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        validate(*args)
+
+    monkeypatch.setattr(linear, "_validate", counted)
+    s = sign_hyperfield()
+    # every assignment is tried before the answer None
+    assert brute_force_solve(s, LinearSystem.make([[0, s.zero], [s.zero, 0]])) is None
+    assert calls == 1
 
 
 def test_brute_force_budget(z3_named):
@@ -165,7 +198,9 @@ def test_ample_solve_exhaustive_small():
             assert not is_trivial(h, sol)
 
 
-def test_ample_solve_random_larger_systems():
+def random_larger_systems():
+    """(candidate, system) pairs: 150 seeded systems of 2-6 variables over
+    each of five ample hyperfields of order 4 to 6."""
     rng = random.Random(57105)
     bases = []
     z3bp = compute_blocks(AbelianGroup.from_spec("Z3"), 0)
@@ -184,10 +219,14 @@ def test_ample_solve_random_larger_systems():
             eqs = [
                 [rng.randrange(0, h.r + 1) for _ in range(n)] for _ in range(k)
             ]
-            system = LinearSystem.make(eqs, n_vars=n)
-            sol = ample_solve(h, system)
-            assert check(h, system, sol)
-            assert not is_trivial(h, sol)
+            yield h, LinearSystem.make(eqs, n_vars=n)
+
+
+def test_ample_solve_random_larger_systems():
+    for h, system in random_larger_systems():
+        sol = ample_solve(h, system)
+        assert check(h, system, sol)
+        assert not is_trivial(h, sol)
 
 
 def test_ample_solve_agrees_with_brute_force(z3_named):
@@ -261,16 +300,30 @@ def pile_system(rng, h):
     return LinearSystem.make(eqs, n_vars=n)
 
 
-def test_ample_solve_through_a_pile(monkeypatch):
-    """Piles, and the anchors and pins with constants that follow them,
-    over every ample block union of a group of order <= 7."""
-    hs = [
+@functools.lru_cache(maxsize=None)
+def ample_hyperfields_up_to_7():
+    return tuple(
         h
         for g in abelian_groups_up_to(7)
         for m1 in g.involution_candidates()
         for _, h in certified_candidates(compute_blocks(g, m1))
-    ]
+    )
+
+
+def pile_systems():
+    """(candidate, system) pairs: 300 seeded pile systems, each over an
+    ample block union of a group of order <= 7 drawn with the same seed."""
+    hs = ample_hyperfields_up_to_7()
     assert len(hs) == 859
+    rng = random.Random(8)
+    for _ in range(300):
+        h = rng.choice(hs)
+        yield h, pile_system(rng, h)
+
+
+def test_ample_solve_through_a_pile(monkeypatch):
+    """Piles, and the anchors and pins with constants that follow them,
+    over every ample block union of a group of order <= 7."""
     piles = 0
     solve_pile = linear._solve_pile
 
@@ -280,10 +333,7 @@ def test_ample_solve_through_a_pile(monkeypatch):
         solve_pile(*args)
 
     monkeypatch.setattr(linear, "_solve_pile", counted)
-    rng = random.Random(8)
-    for i in range(300):
-        h = rng.choice(hs)
-        system = pile_system(rng, h)
+    for i, (h, system) in enumerate(pile_systems()):
         sol = ample_solve(h, system)
         assert piles == i + 1
         assert any(x != h.zero for x in sol)
@@ -313,6 +363,45 @@ def test_pile_over_the_budget_is_refused(capsys, z5_blocks):
         ample_solve(h, system)
     assert main(["fetvins", "--group", "Z5", "--system", json.dumps(PILE_OF_EIGHT)]) == 3
     assert "pile of 8 variables" in capsys.readouterr().err
+
+
+SOLVE_ANSWERS = Path(__file__).parent / "data" / "solve_answers.json"
+
+
+def solve_answer_digests():
+    """For each family of systems, the sha256 of each candidate's
+    ample_solve answers, in the order the family lists its systems."""
+    families = {
+        "normalized": ((h, s) for h in ample_hyperfields_up_to_5() for s in iter_normalized_systems(h, 3)),
+        "random_larger": random_larger_systems(),
+        "pile": pile_systems(),
+    }
+    out = {}
+    for family, pairs in families.items():
+        digests = {}
+        for h, system in pairs:
+            name = f"{h.group.spec_string()} -1={h.minus_one} pi={h.pi_bits()}"
+            line = repr((system.n_vars, system.equations, ample_solve(h, system)))
+            digests.setdefault(name, hashlib.sha256()).update(line.encode() + b"\n")
+        out[family] = {name: d.hexdigest() for name, d in sorted(digests.items())}
+    return out
+
+
+def test_ample_solve_answers_match_the_golden_file():
+    """The solver gives exactly the answers pinned in solve_answers.json:
+    every normalized system of up to 3 variables over the 53 ample
+    hyperfields of order <= 5, and the seeded systems of
+    test_ample_solve_random_larger_systems and
+    test_ample_solve_through_a_pile.  The file was written by the solver
+    as it stood before its rules read the per-candidate -x/c rows and
+    kept ties in a flat map, from the repository root, with
+
+        PYTHONPATH=src:tests python -c "import json, test_linear as t;
+            print(json.dumps(t.solve_answer_digests(), indent=1, sort_keys=True))"
+
+    redirected into tests/data/solve_answers.json.  Changing an answer
+    the solver gives means writing the file again, on purpose."""
+    assert solve_answer_digests() == json.loads(SOLVE_ANSWERS.read_text())
 
 
 # -- the FETVINS check ------------------------------------------------------------

@@ -14,7 +14,7 @@ which is what makes blocks the unit of enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .groups import AbelianGroup
 
@@ -33,8 +33,6 @@ def pair_decode(code: int, r: int) -> Pair:
 def consistency_step(group: AbelianGroup, pair: Pair) -> Pair:
     """(x, y) -> (x^-1, x^-1 y); fixes every pair with x = 1."""
     x, y = pair
-    if x == 0:
-        return pair
     xi = group.inv(x)
     return (xi, group.mul(xi, y))
 
@@ -114,12 +112,14 @@ class BlockPartition:
         return tuple(tuple(c) for c in counts)
 
 
+@lru_cache(maxsize=64)
 def compute_blocks(group: AbelianGroup, minus_one: int) -> BlockPartition:
     """Partition all r^2 nonzero pairs into blocks.
 
     Blocks are numbered by first occurrence scanning pair codes in
     row-major order starting from (1, 1); this reproduces the canonical
-    A, B, C, ... labelling on small cyclic groups.
+    A, B, C, ... labelling on small cyclic groups.  Computed once per
+    (group, -1) and shared, as a BlockPartition is frozen.
     """
     if group.mul(minus_one, minus_one) != 0:
         raise ValueError(f"minus_one={minus_one} does not have order <= 2")

@@ -90,12 +90,15 @@ def append_records(path: str | Path, records) -> int:
 
 
 def load_records(path: str | Path) -> list[CatalogRecord]:
+    """Every record of a catalog file; ValueError names the first bad line."""
     out = []
     with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(CatalogRecord.from_dict(json.loads(line)))
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                if line.strip():
+                    out.append(CatalogRecord.from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"line {lineno}: {type(exc).__name__}: {exc}") from exc
     return out
 
 

@@ -10,8 +10,8 @@ Subcommands:
 * fetvins   solvability sweep, or solve one system constructively
 * show      inspect catalog files written by the other commands
 
-Exit codes: 0 success, 1 a verification-style claim failed, 2 usage,
-3 a budget was exceeded.
+Exit codes: 0 success, 1 a verification-style claim failed, 2 usage
+(an unreadable --in catalog included), 3 a budget was exceeded.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .blocks import block_label, compute_blocks, coefficient_matrix, pair_decode
 from .catalog import (
+    CatalogRecord,
     append_records,
     candidate_to_dict,
     load_records,
@@ -109,11 +110,21 @@ def _minus_one(args, parser, group: AbelianGroup) -> int:
     return args.minus_one
 
 
+def _records(args, parser) -> list[CatalogRecord]:
+    """The --in catalog; an unreadable file or an invalid line is a usage error."""
+    try:
+        return load_records(args.infile)
+    except OSError as exc:
+        parser.error(f"cannot read catalog {args.infile}: {exc.strerror}")
+    except ValueError as exc:
+        parser.error(f"bad catalog {args.infile}: {exc}")
+
+
 def _candidates(args, parser) -> list[HyperfieldCandidate]:
     """Candidates from --in, --pi, or --blocks, in that priority order;
     --group alone is the full relation."""
     if getattr(args, "infile", None):
-        return [rec.candidate for rec in load_records(args.infile)]
+        return [rec.candidate for rec in _records(args, parser)]
     group = _group(args, parser)
     minus_one = _minus_one(args, parser, group)
     if getattr(args, "pi", None):
@@ -148,10 +159,7 @@ def _candidate_summary(h: HyperfieldCandidate) -> dict:
     d["group_spec"] = h.group.spec_string()
     d["minus_one_name"] = h.group.element_name(h.minus_one)
     bp = compute_blocks(h.group, h.minus_one)
-    if is_union_of_blocks(h, bp):
-        d["blocks"] = _mask_labels(block_subset_of(h, bp))
-    else:
-        d["blocks"] = None
+    d["blocks"] = _mask_labels(block_subset_of(h, bp)) if is_union_of_blocks(h, bp) else None
     return d
 
 
@@ -307,7 +315,6 @@ def cmd_census(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    failures = 0
     results = []
     candidates = _candidates(args, parser)
     for h in candidates:
@@ -327,8 +334,6 @@ def cmd_verify(args, parser) -> int:
             }
         )
         results.append(entry)
-        if not report.ok:
-            failures += 1
     if args.format == "json":
         _emit_json(args, results[0] if len(results) == 1 else results)
     else:
@@ -350,7 +355,7 @@ def cmd_verify(args, parser) -> int:
                 for h, e in zip(candidates, results)
             ],
         )
-    return 1 if failures else 0
+    return 0 if all(e["ok"] for e in results) else 1
 
 
 # -- count ---------------------------------------------------------------------
@@ -543,9 +548,7 @@ def cmd_fetvins(args, parser) -> int:
 
 
 def cmd_show(args, parser) -> int:
-    if not args.infile:
-        parser.error("--in is required for show")
-    records = load_records(args.infile)
+    records = _records(args, parser)
     if args.format == "json":
         _emit_json(args, [rec.to_dict() for rec in records])
     elif args.format == "csv":
@@ -657,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_fetvins)
 
     sp = sub.add_parser("show", help="inspect a catalog file")
-    sp.add_argument("--in", dest="infile", help="catalog file")
+    sp.add_argument("--in", dest="infile", required=True, help="catalog file")
     _add_common(sp)
     sp.set_defaults(func=cmd_show)
 

@@ -3,7 +3,9 @@
 Elements are plain ints in ``range(order)``, encoding vectors over the
 invariant factors in mixed radix, row-major (the last factor varies
 fastest).  Index 0 is the identity, written ``1`` because the group is
-the multiplicative group of a hyperfield.
+the multiplicative group of a hyperfield.  Every group multiplies by
+one Cayley table, shared by equal groups, of at most TABLE_ENTRY_BOUND
+entries: a group of order above 1024 raises CapacityError when built.
 """
 from __future__ import annotations
 
@@ -15,10 +17,10 @@ import numpy as np
 
 from .errors import CapacityError
 
-# automorphisms times group order: the entries an enumeration has to write
-AUTOMORPHISM_ENTRY_BOUND = 1 << 20
-MUL_TABLE_ORDER_BOUND = 256
-CAYLEY_CACHE_SIZE = 64  # groups whose tables a process keeps, each at most 256 x 256
+# entries any group table may hold: order^2 for the Cayley table (so order
+# <= 1024), automorphisms times order for an automorphism enumeration
+TABLE_ENTRY_BOUND = 1 << 20
+CAYLEY_CACHE_SIZE = 64  # groups whose tables a process keeps, each at most 1024 x 1024
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
@@ -41,11 +43,20 @@ def _prime_factors(n: int) -> dict[int, int]:
 def _cayley_table(factors: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
     """Multiplication rows and inverses of the group with these invariant
     factors, built once per process and shared by its instances, which
-    never mutate them: mixed-radix vectors summed digit-wise."""
-    mod = np.array(factors, dtype=np.int64)
-    weights = np.array([prod(factors[i + 1 :]) for i in range(len(factors))], dtype=np.int64)
-    vecs = np.arange(prod(factors))[:, None] // weights % mod
-    rows = ((vecs[:, None, :] + vecs[None, :, :]) % mod @ weights).tolist()
+    never mutate them: mixed-radix vectors summed digit-wise, one factor
+    at a time, so no temporary grows with the number of factors.  Entries
+    are the shared ints of one list, so rows hold only pointers (8.7 MiB
+    at order 1024, where an int object per entry would take 32 MiB)."""
+    order = prod(factors)
+    elements = np.arange(order)
+    table = np.zeros((order, order), dtype=np.int64)
+    weight = order
+    for d in factors:
+        weight //= d
+        digit = elements // weight % d
+        table += np.add.outer(digit, digit) % d * weight
+    names = list(range(order))
+    rows = [list(map(names.__getitem__, row.tolist())) for row in table]
     return rows, [row.index(0) for row in rows]
 
 
@@ -77,16 +88,19 @@ class AbelianGroup:
     """A finite abelian group, normalized so equal groups compare equal."""
 
     def __init__(self, factors: list[int] | tuple[int, ...] = ()):
+        order = prod(factors)
+        # checked before normalizing, whose trial division stalls on a huge prime
+        if order * order > TABLE_ENTRY_BOUND:
+            raise CapacityError(
+                f"the Cayley table of an order-{order} group exceeds the "
+                f"{TABLE_ENTRY_BOUND}-entry budget"
+            )
         self.factors = invariant_factors(tuple(factors))
-        self.order = prod(self.factors)
+        self.order = order  # normalizing keeps the product
         # radix weights for the mixed-radix element encoding
         self._weights = tuple(prod(self.factors[i + 1 :]) for i in range(len(self.factors)))
-        # small groups share one Cayley table per process; larger ones stay formula-based
-        if self.order <= MUL_TABLE_ORDER_BOUND:
-            self._mul_rows, self._inv_list = _cayley_table(self.factors)
-        else:
-            self._mul_rows = None
-            self._inv_list = None
+        # equal groups share one Cayley table per process
+        self._mul_rows, self._inv_list = _cayley_table(self.factors)
 
     # -- construction helpers ------------------------------------------------
 
@@ -123,26 +137,16 @@ class AbelianGroup:
     # -- operations ----------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_rows is not None:
-            return self._mul_rows[a][b]
-        return self.element_index(
-            tuple(x + y for x, y in zip(self.element_vector(a), self.element_vector(b)))
-        )
+        return self._mul_rows[a][b]
 
     def mul_row(self, a: int) -> list[int]:
         """The row [a*b for b in elements], for hot loops that index it directly."""
-        if self._mul_rows is not None:
-            return self._mul_rows[a]
-        return [self.mul(a, b) for b in range(self.order)]
+        return self._mul_rows[a]
 
     def inv(self, a: int) -> int:
-        if self._inv_list is not None:
-            return self._inv_list[a]
-        return self.element_index(tuple(-x for x in self.element_vector(a)))
+        return self._inv_list[a]
 
     def power(self, a: int, n: int) -> int:
-        if not self.factors:
-            return 0
         return self.element_index(tuple(x * n for x in self.element_vector(a)))
 
     def element_order(self, a: int) -> int:
@@ -193,13 +197,13 @@ class AbelianGroup:
         """All multiplication-preserving bijections, each as an index permutation.
 
         Raises CapacityError before enumerating when the automorphisms times
-        the group order exceed AUTOMORPHISM_ENTRY_BOUND.
+        the group order exceed TABLE_ENTRY_BOUND.
         """
         count = self.automorphism_count()
-        if count * self.order > AUTOMORPHISM_ENTRY_BOUND:
+        if count * self.order > TABLE_ENTRY_BOUND:
             raise CapacityError(
                 f"{count} automorphisms of an order-{self.order} group "
-                f"exceed the {AUTOMORPHISM_ENTRY_BOUND}-entry budget"
+                f"exceed the {TABLE_ENTRY_BOUND}-entry budget"
             )
         # image of generator i must have order dividing factors[i]
         choices = [
@@ -229,8 +233,6 @@ class AbelianGroup:
 
     def element_name(self, e: int) -> str:
         """Exponent notation for cyclic groups (1, a, a^2 as superscripts), vectors otherwise."""
-        if not self.factors:
-            return "1"
         if self.is_cyclic:
             if e == 0:
                 return "1"
@@ -238,9 +240,6 @@ class AbelianGroup:
                 return "a"
             return "a" + str(e).translate(_SUPERSCRIPTS)
         return "(" + ",".join(str(v) for v in self.element_vector(e)) + ")"
-
-    def element_names(self) -> list[str]:
-        return [self.element_name(e) for e in range(self.order)]
 
     # -- value semantics -----------------------------------------------------
 

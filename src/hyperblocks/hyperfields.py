@@ -44,8 +44,8 @@ class HyperfieldCandidate:
         r = self.group.order
         if len(self.rows) != r:
             raise ValueError(f"expected {r} pi rows, got {len(self.rows)}")
-        if self.group.mul(self.minus_one, self.minus_one) != 0:
-            raise ValueError(f"minus_one={self.minus_one} does not have order <= 2")
+        if not 0 <= self.minus_one < r or self.group.mul(self.minus_one, self.minus_one) != 0:
+            raise ValueError(f"minus_one={self.minus_one} is not an element of order <= 2")
         if any(row >> r for row in self.rows):
             raise ValueError("pi row mask has bits outside the nonzero elements")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .blocks import BlockPartition, compute_blocks
+from .blocks import compute_blocks
 from .census import _union_keys
 from .errors import CapacityError
 from .groups import AbelianGroup, _prime_factors
@@ -218,12 +218,6 @@ def subgroup_generator(q: int, r: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _partition(group: AbelianGroup, minus_one: int) -> BlockPartition:
-    """compute_blocks once per (group, -1), shared by the atlas and every lookup."""
-    return compute_blocks(group, minus_one)
-
-
-@lru_cache(maxsize=64)
 def _quotient_atlas(r: int, q_bound: int) -> dict[tuple[int, int], int]:
     """(-1, block-orbit key) -> least prime power q <= q_bound whose
     GF(q)/(r-th powers) has that -1 and key.
@@ -239,7 +233,7 @@ def _quotient_atlas(r: int, q_bound: int) -> dict[tuple[int, int], int]:
             by_minus_one.setdefault(h.minus_one, []).append((q, h))
     atlas: dict[tuple[int, int], int] = {}
     for minus_one, found in by_minus_one.items():
-        bp = _partition(found[0][1].group, minus_one)
+        bp = compute_blocks(found[0][1].group, minus_one)
         unions, keys = _union_keys(bp, [h for _, h in found])
         if len(unions) < len(found):
             raise RuntimeError(f"a quotient on Z{r} is not a union of blocks")
@@ -258,7 +252,7 @@ def find_finite_quotient(h: HyperfieldCandidate, q_bound: int) -> tuple[int, int
     """
     if not h.group.is_cyclic:
         return None
-    unions, keys = _union_keys(_partition(h.group, h.minus_one), [h])
+    unions, keys = _union_keys(compute_blocks(h.group, h.minus_one), [h])
     if not len(unions):
         return None
     q = _quotient_atlas(h.r, q_bound).get((h.minus_one, int(keys[0])))

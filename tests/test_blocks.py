@@ -132,8 +132,15 @@ def test_trivial_group_blocks():
 
 def test_minus_one_must_be_involution():
     g = AbelianGroup.from_spec("Z5")
-    with pytest.raises(ValueError):
-        compute_blocks(g, 2)
+    for _ in range(2):  # every call raises: the partition cache keeps no errors
+        with pytest.raises(ValueError):
+            compute_blocks(g, 2)
+
+
+def test_equal_groups_share_one_partition():
+    bp = compute_blocks(AbelianGroup.from_spec("Z2xZ4"), 2)
+    assert compute_blocks(AbelianGroup([4, 2]), 2) is bp
+    assert compute_blocks(AbelianGroup([4, 2]), 0) is not bp
 
 
 def closure_orbits(g, m1):

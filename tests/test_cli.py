@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through the argument parser."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,45 @@ def test_show_requires_infile(capsys):
     assert exc.value.code == 2
 
 
+def usage_error(capsys, *argv) -> str:
+    """The message of a run that must end in a usage error (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["show", "verify", "quotient"])
+def test_missing_catalog_is_a_usage_error(tmp_path, capsys, command):
+    missing = tmp_path / "missing.jsonl"
+    err = usage_error(capsys, command, "--in", str(missing))
+    assert f"cannot read catalog {missing}: No such file or directory" in err
+
+
+@pytest.mark.parametrize("command", ["show", "verify", "quotient"])
+def test_malformed_catalog_line_is_a_usage_error(tmp_path, capsys, command):
+    cat = tmp_path / "cat.jsonl"
+    run(capsys, "verify", "--group", "Z3", "--blocks", "BCD", "--append", str(cat))
+    with cat.open("a", encoding="utf-8") as fh:
+        fh.write("not json\n")
+    err = usage_error(capsys, command, "--in", str(cat))
+    assert f"bad catalog {cat}: line 2: JSONDecodeError" in err
+
+
+@pytest.mark.parametrize("command", ["show", "verify", "quotient"])
+def test_invalid_catalog_record_is_a_usage_error(tmp_path, capsys, command):
+    # a pi string one bit short for Z3, then a -1 that is not an element of Z3
+    cat = tmp_path / "cat.jsonl"
+    short = {"candidate": {"group": {"factors": [3]}, "minus_one": 0, "pi": "01111111"}}
+    cat.write_text(json.dumps(short) + "\n", encoding="utf-8")
+    err = usage_error(capsys, command, "--in", str(cat))
+    assert f"bad catalog {cat}: line 1: ValueError: pi bit string must be 9 chars" in err
+    far = {"candidate": {"group": {"factors": [3]}, "minus_one": 3, "pi": "011111111"}}
+    cat.write_text("\n" + json.dumps(far) + "\n", encoding="utf-8")
+    err = usage_error(capsys, command, "--in", str(cat))
+    assert f"bad catalog {cat}: line 2: ValueError: minus_one=3 is not an element of order <= 2" in err
+
+
 # -- count ------------------------------------------------------------------------
 
 
@@ -350,6 +390,25 @@ def test_quotient_status_json(capsys):
     assert d["q"] == 13
     assert d["generator"] == 8
     assert d["q_bound"] == 81
+
+
+def test_quotient_above_order_256(capsys):
+    code, out, _ = run(capsys, "quotient", "--q", "263", "--r", "262")
+    assert code == 0
+    assert "-> Z262 " in out
+    assert "verified: True" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("quotient", "--q", "4099", "--r", "4098"), ("blocks", "--group", "Z2000", "--minus-one", "0")],
+)
+def test_groups_past_the_table_budget_exit_3(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "exceeds the 1048576-entry budget" in err
 
 
 def test_quotient_rejects_bad_r(capsys):

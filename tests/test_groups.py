@@ -9,7 +9,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from hyperblocks import AbelianGroup, CapacityError, abelian_groups_up_to, invariant_factors
-from hyperblocks.groups import AUTOMORPHISM_ENTRY_BOUND, MUL_TABLE_ORDER_BOUND
+from hyperblocks.groups import TABLE_ENTRY_BOUND
 
 
 def smith_diagonal(factors):
@@ -81,13 +81,27 @@ def test_equal_groups_share_one_cayley_table():
     a, b = AbelianGroup.from_spec("Z2xZ4"), AbelianGroup([4, 2])
     assert a._mul_rows is b._mul_rows
     assert a._inv_list is b._inv_list
-    big = AbelianGroup([MUL_TABLE_ORDER_BOUND + 1])
-    assert big._mul_rows is None
+    big = AbelianGroup([257])
     assert big.mul(big.order - 1, 2) == 1
 
 
+def test_cayley_table_budget():
+    # order 1024 fills the 2^20-entry budget; above it a group is refused when built
+    edge = AbelianGroup([2, 512])
+    assert edge.order**2 == TABLE_ENTRY_BOUND
+    assert edge.mul(edge.element_index((1, 511)), edge.element_index((1, 2))) == 1
+    with pytest.raises(CapacityError, match="order-1025 group exceeds the 1048576-entry budget"):
+        AbelianGroup([1025])
+    # refused before the invariant factors are found: factoring 2^61 - 1 would stall
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError):
+        AbelianGroup.from_spec("Z2305843009213693951")
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_cayley_table_matches_the_vector_formula():
-    for g in abelian_groups_up_to(40):
+    # Z2xZ130 has two factors and more than 256 elements
+    for g in [*abelian_groups_up_to(40), AbelianGroup([2, 130])]:
         vecs = [g.element_vector(e) for e in g.elements()]
         table = [[g.element_index(tuple(x + y for x, y in zip(u, v))) for v in vecs] for u in vecs]
         assert [g.mul_row(a) for a in g.elements()] == table, g
@@ -157,8 +171,8 @@ def test_automorphism_budget_counts_work():
     # Z2^4 fits the budget; Z2^5 has as many elements as Z32 but 9,999,360
     # automorphisms, and is refused before any enumeration
     z2_4, z2_5 = AbelianGroup([2] * 4), AbelianGroup([2] * 5)
-    assert z2_4.automorphism_count() * 16 <= AUTOMORPHISM_ENTRY_BOUND
-    assert z2_5.automorphism_count() * 32 > AUTOMORPHISM_ENTRY_BOUND
+    assert z2_4.automorphism_count() * 16 <= TABLE_ENTRY_BOUND
+    assert z2_5.automorphism_count() * 32 > TABLE_ENTRY_BOUND
     assert len(AbelianGroup([32]).automorphisms()) == 16
     t0 = time.perf_counter()
     with pytest.raises(CapacityError):

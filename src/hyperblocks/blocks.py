@@ -112,14 +112,12 @@ class BlockPartition:
         return tuple(tuple(c) for c in counts)
 
 
-@lru_cache(maxsize=64)
 def compute_blocks(group: AbelianGroup, minus_one: int) -> BlockPartition:
     """Partition all r^2 nonzero pairs into blocks.
 
     Blocks are numbered by first occurrence scanning pair codes in
     row-major order starting from (1, 1); this reproduces the canonical
-    A, B, C, ... labelling on small cyclic groups.  Computed once per
-    (group, -1) and shared, as a BlockPartition is frozen.
+    A, B, C, ... labelling on small cyclic groups.
     """
     if group.mul(minus_one, minus_one) != 0:
         raise ValueError(f"minus_one={minus_one} does not have order <= 2")
@@ -146,6 +144,13 @@ def compute_blocks(group: AbelianGroup, minus_one: int) -> BlockPartition:
         for c in codes:
             assigned[c] = idx
     return BlockPartition(group, minus_one, tuple(blocks), tuple(assigned))
+
+
+@lru_cache(maxsize=64)
+def _shared_blocks(group: AbelianGroup, minus_one: int) -> BlockPartition:
+    """compute_blocks once per (group, -1) for callers that only look a
+    partition up; sharing is safe as a BlockPartition is frozen."""
+    return compute_blocks(group, minus_one)
 
 
 @dataclass(frozen=True)

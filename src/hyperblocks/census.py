@@ -41,7 +41,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .blocks import BlockPartition, compute_blocks
+from .blocks import BlockPartition, _shared_blocks, compute_blocks
 from .errors import CapacityError
 from .groups import AbelianGroup
 from .hyperfields import (
@@ -567,7 +567,7 @@ def canonical_forms(
     census) are keyed by _union_keys and the keys turned into pi strings
     by _pi_strings; only the other relations go through canonical_form.
     """
-    bp = compute_blocks(group, minus_one)
+    bp = _shared_blocks(group, minus_one)
     forms: list[str | None] = [None] * len(candidates)
     if bp.b <= KEY_BITS:
         unions, keys = _union_keys(bp, candidates)

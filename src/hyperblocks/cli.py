@@ -22,7 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from .blocks import block_label, compute_blocks, coefficient_matrix, pair_decode
+from .blocks import _shared_blocks, block_label, compute_blocks, coefficient_matrix, pair_decode
 from .catalog import (
     CatalogRecord,
     append_records,
@@ -158,8 +158,11 @@ def _candidate_summary(h: HyperfieldCandidate) -> dict:
     d = candidate_to_dict(h)
     d["group_spec"] = h.group.spec_string()
     d["minus_one_name"] = h.group.element_name(h.minus_one)
-    bp = compute_blocks(h.group, h.minus_one)
-    d["blocks"] = _mask_labels(block_subset_of(h, bp)) if is_union_of_blocks(h, bp) else None
+    bp = _shared_blocks(h.group, h.minus_one)
+    if is_union_of_blocks(h, bp):
+        d["blocks"] = _mask_labels(block_subset_of(h, bp))
+    else:
+        d["blocks"] = None
     return d
 
 
@@ -315,6 +318,7 @@ def cmd_census(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    failures = 0
     results = []
     candidates = _candidates(args, parser)
     for h in candidates:
@@ -334,6 +338,8 @@ def cmd_verify(args, parser) -> int:
             }
         )
         results.append(entry)
+        if not report.ok:
+            failures += 1
     if args.format == "json":
         _emit_json(args, results[0] if len(results) == 1 else results)
     else:
@@ -355,7 +361,7 @@ def cmd_verify(args, parser) -> int:
                 for h, e in zip(candidates, results)
             ],
         )
-    return 0 if all(e["ok"] for e in results) else 1
+    return 1 if failures else 0
 
 
 # -- count ---------------------------------------------------------------------

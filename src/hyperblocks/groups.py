@@ -89,8 +89,9 @@ class AbelianGroup:
 
     def __init__(self, factors: list[int] | tuple[int, ...] = ()):
         order = prod(factors)
-        # checked before normalizing, whose trial division stalls on a huge prime
-        if order * order > TABLE_ENTRY_BOUND:
+        # budget checked before normalizing, whose trial division stalls on a
+        # huge prime; a factor below 2 is left for invariant_factors to refuse
+        if min(factors, default=2) >= 2 and order * order > TABLE_ENTRY_BOUND:
             raise CapacityError(
                 f"the Cayley table of an order-{order} group exceeds the "
                 f"{TABLE_ENTRY_BOUND}-entry budget"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .blocks import BlockPartition, compute_blocks, pair_code
+from .blocks import BlockPartition, _shared_blocks, pair_code
 from .groups import AbelianGroup
 
 STATUS_UNVERIFIED = "unverified"
@@ -183,7 +183,7 @@ def build_candidate(bp: BlockPartition, chosen_blocks: int) -> HyperfieldCandida
 def is_union_of_blocks(h: HyperfieldCandidate, bp: BlockPartition | None = None) -> bool:
     """True when every block is either fully inside or fully outside pi."""
     if bp is None:
-        bp = compute_blocks(h.group, h.minus_one)
+        bp = _shared_blocks(h.group, h.minus_one)
     r = h.r
     for block in bp.blocks:
         first = h.rows[block[0] // r] >> (block[0] % r) & 1
@@ -347,7 +347,7 @@ def certify_ample(h: HyperfieldCandidate, bp: BlockPartition | None = None) -> b
     status is set accordingly.
     """
     if bp is None:
-        bp = compute_blocks(h.group, h.minus_one)
+        bp = _shared_blocks(h.group, h.minus_one)
     if not is_union_of_blocks(h, bp):
         raise ValueError("certification requires pi to be a union of blocks")
     if is_ample(h):

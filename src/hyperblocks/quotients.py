@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .blocks import compute_blocks
+from .blocks import _shared_blocks
 from .census import _union_keys
 from .errors import CapacityError
 from .groups import AbelianGroup, _prime_factors
@@ -233,7 +233,7 @@ def _quotient_atlas(r: int, q_bound: int) -> dict[tuple[int, int], int]:
             by_minus_one.setdefault(h.minus_one, []).append((q, h))
     atlas: dict[tuple[int, int], int] = {}
     for minus_one, found in by_minus_one.items():
-        bp = compute_blocks(found[0][1].group, minus_one)
+        bp = _shared_blocks(found[0][1].group, minus_one)
         unions, keys = _union_keys(bp, [h for _, h in found])
         if len(unions) < len(found):
             raise RuntimeError(f"a quotient on Z{r} is not a union of blocks")
@@ -252,7 +252,7 @@ def find_finite_quotient(h: HyperfieldCandidate, q_bound: int) -> tuple[int, int
     """
     if not h.group.is_cyclic:
         return None
-    unions, keys = _union_keys(compute_blocks(h.group, h.minus_one), [h])
+    unions, keys = _union_keys(_shared_blocks(h.group, h.minus_one), [h])
     if not len(unions):
         return None
     q = _quotient_atlas(h.r, q_bound).get((h.minus_one, int(keys[0])))

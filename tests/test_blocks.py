@@ -10,6 +10,7 @@ from hyperblocks import (
     compute_blocks,
 )
 from hyperblocks.blocks import (
+    _shared_blocks,
     consistency_step,
     pair_code,
     pair_decode,
@@ -132,15 +133,20 @@ def test_trivial_group_blocks():
 
 def test_minus_one_must_be_involution():
     g = AbelianGroup.from_spec("Z5")
+    with pytest.raises(ValueError):
+        compute_blocks(g, 2)
     for _ in range(2):  # every call raises: the partition cache keeps no errors
         with pytest.raises(ValueError):
-            compute_blocks(g, 2)
+            _shared_blocks(g, 2)
 
 
 def test_equal_groups_share_one_partition():
-    bp = compute_blocks(AbelianGroup.from_spec("Z2xZ4"), 2)
-    assert compute_blocks(AbelianGroup([4, 2]), 2) is bp
-    assert compute_blocks(AbelianGroup([4, 2]), 0) is not bp
+    bp = _shared_blocks(AbelianGroup.from_spec("Z2xZ4"), 2)
+    assert _shared_blocks(AbelianGroup([4, 2]), 2) is bp
+    assert _shared_blocks(AbelianGroup([4, 2]), 0) is not bp
+    # compute_blocks itself partitions on every call
+    assert compute_blocks(AbelianGroup([4, 2]), 2) is not bp
+    assert compute_blocks(AbelianGroup([4, 2]), 2) == bp
 
 
 def closure_orbits(g, m1):

@@ -263,7 +263,8 @@ def test_malformed_catalog_line_is_a_usage_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["show", "verify", "quotient"])
 def test_invalid_catalog_record_is_a_usage_error(tmp_path, capsys, command):
-    # a pi string one bit short for Z3, then a -1 that is not an element of Z3
+    # a pi string one bit short for Z3, a -1 that is not an element of Z3, then
+    # a factor below 2 whose square order would exceed the table budget
     cat = tmp_path / "cat.jsonl"
     short = {"candidate": {"group": {"factors": [3]}, "minus_one": 0, "pi": "01111111"}}
     cat.write_text(json.dumps(short) + "\n", encoding="utf-8")
@@ -273,6 +274,10 @@ def test_invalid_catalog_record_is_a_usage_error(tmp_path, capsys, command):
     cat.write_text("\n" + json.dumps(far) + "\n", encoding="utf-8")
     err = usage_error(capsys, command, "--in", str(cat))
     assert f"bad catalog {cat}: line 2: ValueError: minus_one=3 is not an element of order <= 2" in err
+    negative = {"candidate": {"group": {"factors": [-2000]}, "minus_one": 0, "pi": "0"}}
+    cat.write_text(json.dumps(negative) + "\n", encoding="utf-8")
+    err = usage_error(capsys, command, "--in", str(cat))
+    assert f"bad catalog {cat}: line 1: ValueError: cyclic factor must be >= 2, got -2000" in err
 
 
 # -- count ------------------------------------------------------------------------

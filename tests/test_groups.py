@@ -97,6 +97,10 @@ def test_cayley_table_budget():
     with pytest.raises(CapacityError):
         AbelianGroup.from_spec("Z2305843009213693951")
     assert time.perf_counter() - t0 < 1.0
+    # an invalid factor is an error of the input, not of the budget, however large
+    with pytest.raises(ValueError, match="cyclic factor must be >= 2, got -2000") as exc:
+        AbelianGroup([-2000])
+    assert not isinstance(exc.value, CapacityError)
 
 
 def test_cayley_table_matches_the_vector_formula():

@@ -10,15 +10,26 @@ with the given multiplicative group and -1:
 The orbit closure of a pair under both moves is its block.  Any candidate
 relation built as a union of blocks automatically survives both moves,
 which is what makes blocks the unit of enumeration.
+
+compute_blocks needs no hyperfield: it writes both moves as arrays of
+pair codes read off the Cayley table, labels every pair with the least
+code reachable through them, and numbers the blocks by that least code.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
+import numpy as np
+
+from .errors import CapacityError
 from .groups import AbelianGroup
 
 Pair = tuple[int, int]
+
+# entries of the r x b count array coefficient_matrix builds: Z512 (b = 43,947
+# with -1 = identity) fits; as b >= r^2 / 6, no group of order 586 or more does
+COEFF_ENTRY_BOUND = 1 << 25
 
 
 def pair_code(x: int, y: int, r: int) -> int:
@@ -55,12 +66,21 @@ def block_label(i: int) -> str:
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """The full partition of nonzero pairs into blocks for one (group, -1)."""
+    """The full partition of nonzero pairs into blocks for one (group, -1).
+
+    block_index, given as the block of each pair code, is kept as a
+    read-only r x r array: block_index[x, y] is the block of (x, y).
+    """
 
     group: AbelianGroup
     minus_one: int
     blocks: tuple[tuple[int, ...], ...]  # pair codes, sorted within each block
-    pair_to_block: tuple[int, ...]  # indexed by pair code
+    block_index: np.ndarray = field(compare=False, repr=False)  # follows from blocks
+
+    def __post_init__(self) -> None:
+        index = np.array(self.block_index, dtype=np.intp).reshape(self.r, self.r)
+        index.flags.writeable = False
+        object.__setattr__(self, "block_index", index)
 
     @property
     def b(self) -> int:
@@ -71,79 +91,64 @@ class BlockPartition:
         return self.group.order
 
     def block_of(self, x: int, y: int) -> int:
-        return self.pair_to_block[pair_code(x, y, self.r)]
+        return int(self.block_index[x, y])
 
     def labels(self) -> list[str]:
         return [block_label(i) for i in range(self.b)]
 
+    def mask_labels(self, mask: int) -> str:
+        """Labels of the blocks in a bitmask: "BD", or "B,AD" past 26 blocks,
+        where one letter no longer makes one label."""
+        chosen = [block_label(i) for i in range(mask.bit_length()) if mask >> i & 1]
+        return ("," if self.b > 26 else "").join(chosen)
+
     def subset_from_labels(self, labels: str) -> int:
-        """Bitmask of blocks from a label string like "BD"."""
-        own = self.labels()
+        """Bitmask of blocks from a label string as mask_labels writes it."""
+        own = {label: i for i, label in enumerate(self.labels())}
         mask = 0
-        for token in labels:
-            mask |= 1 << own.index(token)
+        for token in labels.split(",") if self.b > 26 and labels else labels:
+            if token not in own:
+                raise ValueError(f"unknown block label {token!r}")
+            mask |= 1 << own[token]
         return mask
 
     def table(self) -> list[list[str]]:
         """Label grid, rows indexed by x and columns by y."""
-        r = self.r
-        return [
-            [block_label(self.pair_to_block[pair_code(x, y, r)]) for y in range(r)]
-            for x in range(r)
-        ]
+        labels = self.labels()
+        return [[labels[i] for i in row] for row in self.block_index.tolist()]
 
     @cached_property
     def one_row_blocks(self) -> tuple[int, ...]:
         """Indices of blocks containing a pair (1, y), in first-occurrence order."""
-        out: list[int] = []
-        for y in range(self.r):
-            i = self.pair_to_block[pair_code(0, y, self.r)]
-            if i not in out:
-                out.append(i)
-        return tuple(out)
-
-    @cached_property
-    def block_row_counts(self) -> tuple[tuple[int, ...], ...]:
-        """block_row_counts[i][g] = number of pairs (g, y) in block i."""
-        r = self.r
-        counts = [[0] * r for _ in range(self.b)]
-        for code, i in enumerate(self.pair_to_block):
-            counts[i][code // r] += 1
-        return tuple(tuple(c) for c in counts)
+        return tuple(dict.fromkeys(self.block_index[0].tolist()))
 
 
 def compute_blocks(group: AbelianGroup, minus_one: int) -> BlockPartition:
     """Partition all r^2 nonzero pairs into blocks.
 
-    Blocks are numbered by first occurrence scanning pair codes in
-    row-major order starting from (1, 1); this reproduces the canonical
-    A, B, C, ... labelling on small cyclic groups.
+    Every pair's label, first its own code, becomes the least label over
+    the pair and its images under both moves until none changes: a few
+    rounds, as a block holds at most 6 pairs.  Blocks are numbered by
+    that least code, i.e. by first occurrence scanning pair codes in
+    row-major order from (1, 1); this reproduces the canonical A, B, C,
+    ... labelling on small cyclic groups.
     """
     if group.mul(minus_one, minus_one) != 0:
         raise ValueError(f"minus_one={minus_one} does not have order <= 2")
     r = group.order
-    assigned = [-1] * (r * r)
-    blocks: list[tuple[int, ...]] = []
-    for code in range(r * r):
-        if assigned[code] != -1:
-            continue
-        orbit = {pair_decode(code, r)}
-        frontier = list(orbit)
-        while frontier:
-            p = frontier.pop()
-            for q in (
-                consistency_step(group, p),
-                reversal_negation_step(group, minus_one, p),
-            ):
-                if q not in orbit:
-                    orbit.add(q)
-                    frontier.append(q)
-        idx = len(blocks)
-        codes = sorted(pair_code(x, y, r) for x, y in orbit)
-        blocks.append(tuple(codes))
-        for c in codes:
-            assigned[c] = idx
-    return BlockPartition(group, minus_one, tuple(blocks), tuple(assigned))
+    mul = np.array([group.mul_row(x) for x in range(r)], dtype=np.intp)
+    inv = np.array([group.inv(x) for x in range(r)], dtype=np.intp)
+    neg = mul[minus_one]
+    consistency = (inv[:, None] * r + mul[inv]).ravel()  # (x, y) -> (x^-1, x^-1 y)
+    reversal = (neg[None, :] * r + neg[:, None]).ravel()  # (x, y) -> (-y, -x)
+    least, last = np.arange(r * r), None
+    while not np.array_equal(least, last):
+        last, least = least, np.minimum.reduce([least, least[consistency], least[reversal]])
+    _, block = np.unique(least, return_inverse=True)
+    codes = np.argsort(block, kind="stable").tolist()  # block by block, ascending within
+    ends = np.cumsum(np.bincount(block)).tolist()
+    blocks = tuple(tuple(codes[start:end]) for start, end in zip([0] + ends, ends))
+    return BlockPartition(group, minus_one, blocks, block)
 
 
 @lru_cache(maxsize=64)
@@ -172,13 +177,21 @@ class CoeffMatrix:
 
 
 def coefficient_matrix(bp: BlockPartition) -> CoeffMatrix:
-    """Distinct rows of the pairs-per-block count matrix, first occurrence first."""
-    rows: list[tuple[int, ...]] = []
-    labels: list[int] = []
-    per_block = bp.block_row_counts
-    for g in range(bp.r):
-        row = tuple(per_block[i][g] for i in range(bp.b))
-        if row not in rows:
-            rows.append(row)
-            labels.append(g)
-    return CoeffMatrix(tuple(rows), tuple(labels), bp.b)
+    """Distinct rows of the pairs-per-block count matrix, first occurrence first.
+
+    The r x b counts are one uint8 array, refused with CapacityError
+    before it is built when it would hold more than COEFF_ENTRY_BOUND
+    entries.
+    """
+    r, b = bp.r, bp.b
+    if r * b > COEFF_ENTRY_BOUND:
+        raise CapacityError(
+            f"the {r} x {b} coefficient counts exceed the {COEFF_ENTRY_BOUND}-entry budget"
+        )
+    counts = np.zeros((r, b), dtype=np.uint8)  # a block holds at most 6 pairs
+    np.add.at(counts, (np.arange(r).repeat(r), bp.block_index.ravel()), 1)
+    first: dict[bytes, int] = {}
+    for g, row in enumerate(counts):
+        first.setdefault(row.tobytes(), g)
+    labels = tuple(first.values())
+    return CoeffMatrix(tuple(tuple(counts[g].tolist()) for g in labels), labels, b)

@@ -72,11 +72,10 @@ def block_permutations(bp: BlockPartition) -> np.ndarray:
     Raises RuntimeError if an automorphism maps some block onto no single
     block, which would make block masks unsound as isomorphism keys.
     """
-    r = bp.r
     autos = np.array(automorphisms_fixing(bp.group, bp.minus_one), dtype=np.intp)
-    block_of = np.array(bp.pair_to_block, dtype=np.intp)
-    # block of the image of every pair code, one row per automorphism
-    moved = block_of[(autos[:, :, None] * r + autos[:, None, :]).reshape(len(autos), -1)]
+    block_of = bp.block_index.ravel()
+    # block of the image of every pair, one row per automorphism
+    moved = bp.block_index[autos[:, :, None], autos[:, None, :]].reshape(len(autos), -1)
     perms = np.empty((len(autos), bp.b), dtype=np.intp)
     perms[:, block_of] = moved
     if not (perms[:, block_of] == moved).all():
@@ -239,7 +238,6 @@ class AxiomCircuit:
     def __init__(self, bp: BlockPartition):
         group, minus_one, r = bp.group, bp.minus_one, bp.r
         zero = r  # elements are 0..r, r standing for 0
-        var = np.array(bp.pair_to_block, dtype=np.intp)
         # registers: block bits 0..b-1, constant true b, constant false b + 1, pair ANDs
         t = bp.b
         true, false = t, t + 1
@@ -248,7 +246,7 @@ class AxiomCircuit:
         nonzero, elements = np.arange(r), np.arange(r + 1)
 
         s = np.full((r + 1, r + 1, r + 1), false, dtype=np.intp)
-        s[:r, :r, :r] = var[quot.T[:, :, None] * r + quot[None, :, :]]
+        s[:r, :r, :r] = bp.block_index[quot.T[:, :, None], quot[None, :, :]]
         s[nonzero, mul[minus_one], zero] = true
         s[zero, elements, elements] = true
         s[nonzero, zero, nonzero] = true
@@ -332,7 +330,7 @@ def _ample_screen(bp: BlockPartition, words: np.ndarray) -> np.ndarray:
     comparisons ANDed over the rows.
     """
     r = bp.r
-    pi = words[np.array(bp.pair_to_block, dtype=np.intp).reshape(r, r)]  # [x, y, word]
+    pi = words[bp.block_index]  # [x, y, word]
     planes = [np.zeros_like(pi[:, 0]) for _ in range(r.bit_length())]
     for y in range(r):
         carry = pi[:, y]
@@ -426,11 +424,11 @@ def _pi_strings(bp: BlockPartition, keys: np.ndarray) -> list[str]:
     """The row-major pi string of each block-orbit key, one uint8 gather per chunk of keys.
 
     Key bit b-1-i stands for block i, so pi bit (x, y) is key bit
-    b-1-pair_to_block[x*r + y]: the key bytes are unpacked little-endian
+    b-1-block_index[x, y]: the key bytes are unpacked little-endian
     and their bit columns gathered in pi order.  Chunks of 2^CHUNK_BITS
     keys bound the working memory.
     """
-    columns = bp.b - 1 - np.array(bp.pair_to_block, dtype=np.intp)
+    columns = bp.b - 1 - bp.block_index.ravel()
     width = bp.r * bp.r
     out: list[str] = []
     for start in range(0, len(keys), 1 << CHUNK_BITS):
@@ -554,7 +552,7 @@ def _union_keys(
     text = "".join(h.pi_bits() for h in candidates).encode("ascii")
     bits = (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(-1, bp.r * bp.r)
     block_bits = bits[:, [block[0] for block in bp.blocks]]
-    unions = np.flatnonzero((bits == block_bits[:, bp.pair_to_block]).all(axis=1))
+    unions = np.flatnonzero((bits == block_bits[:, bp.block_index.ravel()]).all(axis=1))
     return unions, _orbit_keys(_key_weights(bp), block_bits[unions].T)
 
 

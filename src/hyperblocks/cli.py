@@ -137,21 +137,12 @@ def _candidates(args, parser) -> list[HyperfieldCandidate]:
         try:
             mask = bp.subset_from_labels(args.blocks.upper())
         except ValueError:
-            parser.error(f"unknown block label in {args.blocks!r}; have {''.join(bp.labels())}")
+            parser.error(
+                f"unknown block label in {args.blocks!r}; have {bp.mask_labels((1 << bp.b) - 1)}"
+            )
         return [build_candidate(bp, mask)]
     full = (1 << group.order) - 1
     return [HyperfieldCandidate(group, minus_one, (full,) * group.order)]
-
-
-def _mask_labels(mask: int) -> str:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(block_label(i))
-        mask >>= 1
-        i += 1
-    return "".join(out)
 
 
 def _candidate_summary(h: HyperfieldCandidate) -> dict:
@@ -160,7 +151,7 @@ def _candidate_summary(h: HyperfieldCandidate) -> dict:
     d["minus_one_name"] = h.group.element_name(h.minus_one)
     bp = _shared_blocks(h.group, h.minus_one)
     if is_union_of_blocks(h, bp):
-        d["blocks"] = _mask_labels(block_subset_of(h, bp))
+        d["blocks"] = bp.mask_labels(block_subset_of(h, bp))
     else:
         d["blocks"] = None
     return d
@@ -173,7 +164,15 @@ def cmd_blocks(args, parser) -> int:
     group = _group(args, parser)
     minus_one = _minus_one(args, parser, group)
     bp = compute_blocks(group, minus_one)
+    if args.format == "csv":
+        _emit_csv(args, bp.table())
+        return 0
     cm = coefficient_matrix(bp)
+    name = [group.element_name(e) for e in group.elements()]
+    blocks = {
+        block_label(i): [(name[x], name[y]) for x, y in (pair_decode(c, bp.r) for c in block)]
+        for i, block in enumerate(bp.blocks)
+    }
     if args.format == "json":
         _emit_json(
             args,
@@ -183,42 +182,23 @@ def cmd_blocks(args, parser) -> int:
                 "r": bp.r,
                 "b": bp.b,
                 "table": bp.table(),
-                "blocks": {
-                    block_label(i): [
-                        [group.element_name(x), group.element_name(y)]
-                        for x, y in (pair_decode(c, bp.r) for c in block)
-                    ]
-                    for i, block in enumerate(bp.blocks)
-                },
+                "blocks": blocks,
                 "coefficient_matrix": {
-                    "rows": [list(row) for row in cm.rows],
-                    "row_elements": [group.element_name(g) for g in cm.row_labels],
+                    "rows": cm.rows,
+                    "row_elements": [name[g] for g in cm.row_labels],
                 },
             },
         )
         return 0
-    if args.format == "csv":
-        _emit_csv(args, bp.table())
-        return 0
-    lines = [
-        f"group {group.spec_string()}  minus_one {group.element_name(minus_one)}"
-        f"  r={bp.r}  b={bp.b}",
-        "",
-    ]
-    width = max(len(lbl) for row in bp.table() for lbl in row)
-    for row in bp.table():
-        lines.append(" ".join(lbl.rjust(width) for lbl in row))
+    width = len(block_label(bp.b - 1))  # the last label is the longest
+    lines = [f"group {group.spec_string()}  minus_one {name[minus_one]}  r={bp.r}  b={bp.b}", ""]
+    lines += [" ".join(label.rjust(width) for label in row) for row in bp.table()]
     lines.append("")
-    for i, block in enumerate(bp.blocks):
-        pairs = ", ".join(
-            f"({group.element_name(x)}, {group.element_name(y)})"
-            for x, y in (pair_decode(c, bp.r) for c in block)
-        )
-        lines.append(f"{block_label(i)}: {pairs}")
-    lines.append("")
-    lines.append(f"coefficient matrix ({cm.row_count} distinct rows):")
+    for label, pairs in blocks.items():
+        lines.append(f"{label}: " + ", ".join(f"({x}, {y})" for x, y in pairs))
+    lines += ["", f"coefficient matrix ({cm.row_count} distinct rows):"]
     for g, row in zip(cm.row_labels, cm.rows):
-        lines.append(f"{group.element_name(g):>6}  " + " ".join(map(str, row)))
+        lines.append(f"{name[g]:>6}  " + " ".join(map(str, row)))
     _emit(args, "\n".join(lines))
     return 0
 
@@ -227,6 +207,7 @@ def cmd_blocks(args, parser) -> int:
 
 
 def _census_to_dict(c) -> dict:
+    labels = _shared_blocks(c.group, c.minus_one).mask_labels
     return {
         "group": c.group.spec_string(),
         "minus_one": c.minus_one,
@@ -239,7 +220,7 @@ def _census_to_dict(c) -> dict:
                 "canonical_pi": cl.canonical_pi,
                 "members": cl.members,
                 "ample": cl.ample,
-                "example_blocks": _mask_labels(cl.example_subset),
+                "example_blocks": labels(cl.example_subset),
             }
             for cl in c.classes
         ],
@@ -288,6 +269,7 @@ def cmd_census(args, parser) -> int:
     elif args.format == "csv":
         rows = [["group", "minus_one", "canonical_pi", "members", "ample", "example_blocks"]]
         for c in censuses:
+            labels = _shared_blocks(c.group, c.minus_one).mask_labels
             for cl in c.classes:
                 rows.append(
                     [
@@ -296,20 +278,21 @@ def cmd_census(args, parser) -> int:
                         cl.canonical_pi,
                         cl.members,
                         int(cl.ample),
-                        _mask_labels(cl.example_subset),
+                        labels(cl.example_subset),
                     ]
                 )
         _emit_csv(args, rows)
     else:
         lines = []
         for c in censuses:
+            labels = _shared_blocks(c.group, c.minus_one).mask_labels
             lines.append(
                 f"{c.group.spec_string()} minus_one={c.group.element_name(c.minus_one)} "
                 f"mode={c.mode} {c.summary()}"
             )
             for members, ample, example in c.class_rows():
                 flag = " ample" if ample else ""
-                lines.append(f"  {_mask_labels(example):<10} members={members}{flag}")
+                lines.append(f"  {labels(example):<10} members={members}{flag}")
         _emit(args, "\n".join(lines))
     return 0
 
@@ -597,7 +580,10 @@ def _add_common(sp, fmt=("text", "json", "csv")) -> None:
 def _add_candidate_source(sp) -> None:
     sp.add_argument("--group", help="group spec like Z3 or Z2xZ4")
     sp.add_argument("--minus-one", type=int, default=None, help="element index of -1")
-    sp.add_argument("--blocks", help="block labels like BD (with --group)")
+    sp.add_argument(
+        "--blocks",
+        help="block labels like BD, comma-separated like B,AD past 26 blocks (with --group)",
+    )
     sp.add_argument("--pi", help="row-major 0/1 string of length r^2 (with --group)")
     sp.add_argument("--in", dest="infile", help="read candidates from a catalog file")
 

@@ -45,11 +45,12 @@ class FiniteField:
     """
 
     def __init__(self, q: int):
+        # cap checked before factoring, whose trial division stalls on a huge prime
+        if q > Q_BOUND_CAP:
+            raise CapacityError(f"q={q} exceeds the field size cap {Q_BOUND_CAP}")
         pk = _is_prime_power(q)
         if pk is None:
             raise ValueError(f"{q} is not a prime power")
-        if q > Q_BOUND_CAP:
-            raise CapacityError(f"q={q} exceeds the field size cap {Q_BOUND_CAP}")
         self.q = q
         self.p, self.k = pk
         self.modulus = self._find_modulus() if self.k > 1 else None

@@ -1,9 +1,11 @@
 """Block partitions of the nonzero pair grid and their coefficient matrices."""
 
+import numpy as np
 import pytest
 
 from hyperblocks import (
     AbelianGroup,
+    CapacityError,
     abelian_groups_up_to,
     block_label,
     coefficient_matrix,
@@ -169,7 +171,7 @@ def closure_orbits(g, m1):
     return set(orbits)
 
 
-@pytest.mark.parametrize("spec", ["Z3", "Z4", "Z2xZ2", "Z5", "Z6", "Z7", "Z2xZ4"])
+@pytest.mark.parametrize("spec", [g.spec_string() for g in abelian_groups_up_to(24)])
 def test_blocks_equal_closure_oracle(spec):
     g = AbelianGroup.from_spec(spec)
     r = len(list(g.elements()))
@@ -177,6 +179,11 @@ def test_blocks_equal_closure_oracle(spec):
         bp = compute_blocks(g, m1)
         got = {frozenset(pair_decode(p, r) for p in blk) for blk in bp.blocks}
         assert got == closure_orbits(g, m1)
+        # numbered by least pair code, each block sorted, and indexed back by block_index
+        assert [blk[0] for blk in bp.blocks] == sorted(min(blk) for blk in bp.blocks)
+        assert all(list(blk) == sorted(blk) for blk in bp.blocks)
+        for i, blk in enumerate(bp.blocks):
+            assert (bp.block_index.ravel()[list(blk)] == i).all()
 
 
 def test_block_partition_invariants_small_sweep():
@@ -195,7 +202,7 @@ def test_block_partition_invariants_small_sweep():
             for blk in bp.blocks:
                 if any(p // r == 0 for p in blk):
                     assert len(blk) <= 3
-            # pair_to_block agrees with the block list
+            # block_index agrees with the block list
             for i, blk in enumerate(bp.blocks):
                 for p in blk:
                     assert bp.block_of(p // r, p % r) == i
@@ -258,3 +265,45 @@ def test_subset_from_labels(z3_blocks):
     assert bp.subset_from_labels("") == 0
     with pytest.raises(ValueError):
         bp.subset_from_labels("E")
+
+
+def test_coefficient_matrix_is_refused_before_it_is_built(z7_blocks, monkeypatch):
+    # Z7: r x b = 7 x 12 = 84 count entries
+    monkeypatch.setattr("hyperblocks.blocks.COEFF_ENTRY_BOUND", 84)
+    assert coefficient_matrix(z7_blocks).rows == Z7_COEFF_ROWS
+    monkeypatch.setattr("hyperblocks.blocks.COEFF_ENTRY_BOUND", 83)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the count array was allocated past the bound")
+
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    with pytest.raises(CapacityError):
+        coefficient_matrix(z7_blocks)
+
+
+def test_block_index_is_read_only(z7_blocks):
+    assert z7_blocks.block_index.shape == (7, 7)
+    with pytest.raises(ValueError):
+        z7_blocks.block_index[0, 0] = 1
+
+
+def test_labels_past_z_are_comma_separated():
+    bp = compute_blocks(AbelianGroup.from_spec("Z12"), 0)
+    assert bp.b == 31
+    assert bp.subset_from_labels("AB") == 1 << 27
+    assert bp.subset_from_labels("A,B") == 0b11
+    assert bp.subset_from_labels("AE,A") == 1 << 30 | 1
+    assert bp.subset_from_labels("") == 0
+    assert bp.mask_labels(1 << 30 | 1 << 27 | 0b11) == "A,B,AB,AE"
+    for mask in (0, 1, 1 << 26, (1 << 31) - 1, 0x2AAAAAAA):
+        assert bp.subset_from_labels(bp.mask_labels(mask)) == mask
+    for concatenated in ("BD", "ABC", "A,BD"):
+        with pytest.raises(ValueError):
+            bp.subset_from_labels(concatenated)
+
+
+def test_labels_up_to_z_stay_concatenated(z7_blocks):
+    assert z7_blocks.mask_labels(0b101001) == "ADF"
+    assert z7_blocks.subset_from_labels("ADF") == 0b101001
+    with pytest.raises(ValueError):
+        z7_blocks.subset_from_labels("A,D")

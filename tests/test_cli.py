@@ -1,12 +1,21 @@
 """End-to-end runs of every subcommand through the argument parser."""
 
+import hashlib
 import json
 import time
 from pathlib import Path
 
 import pytest
 
-from hyperblocks import census, linear
+from hyperblocks import (
+    AbelianGroup,
+    build_candidate,
+    canonical_form,
+    census,
+    compute_blocks,
+    linear,
+    verify_axioms,
+)
 from hyperblocks.cli import build_parser, main
 
 
@@ -60,6 +69,33 @@ def test_blocks_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert target.read_text().splitlines()[0] == "A,B,C"
+
+
+def test_blocks_output_matches_pinned_digests(capsys):
+    # sha256 of the text and JSON output of every (group, -1) of order <= 16,
+    # written by the tuple-based block layer that the array code replaced
+    pinned = json.loads((Path(__file__).parent / "data" / "blocks_digests.json").read_text())
+    assert len(pinned) == 77
+    differing = []
+    for partition, digests in sorted(pinned.items()):
+        spec, m1 = partition.split("/")
+        for fmt, digest in digests.items():
+            code, out, _ = run(capsys, "blocks", "--group", spec, "--minus-one", m1, "--format", fmt)
+            assert code == 0
+            if hashlib.sha256(out.encode("utf-8")).hexdigest() != digest:
+                differing.append((partition, fmt))
+    assert differing == []
+
+
+def test_blocks_past_the_coefficient_budget_ends_quickly(capsys):
+    # Z1024 partitions into 175,275 blocks, so its counts would hold 179M entries
+    start = time.perf_counter()
+    code, out, err = run(capsys, "blocks", "--group", "Z1024", "--minus-one", "0")
+    assert time.perf_counter() - start < 10.0
+    assert code == 3
+    assert out == ""
+    assert "capacity exceeded" in err
+    assert "33554432-entry budget" in err
 
 
 # -- census -----------------------------------------------------------------------
@@ -156,6 +192,23 @@ def test_census_text_builds_no_pi_strings(capsys, monkeypatch):
     assert out.encode("utf-8") == (GOLDEN / "census_Z7_full.text").read_bytes()
 
 
+def test_census_labels_past_z_are_comma_separated(capsys):
+    # the last of 2^16 shards of Z12's 2^31 subsets sets block 30, AE
+    code, out, _ = run(
+        capsys, "census", "--group", "Z12", "--minus-one", "0", "--budget", "31",
+        "--shard", "65535/65536", "--format", "json",
+    )
+    assert code == 0
+    classes = json.loads(out)["classes"]
+    assert classes
+    bp = compute_blocks(AbelianGroup.from_spec("Z12"), 0)
+    for cl in classes:
+        assert cl["example_blocks"].endswith(",AE")
+        h = build_candidate(bp, bp.subset_from_labels(cl["example_blocks"]))
+        assert verify_axioms(h).ok
+        assert canonical_form(h) == cl["canonical_pi"]
+
+
 def test_census_budget_exit_code(capsys):
     code, _, err = run(capsys, "census", "--group", "Z7", "--budget", "5")
     assert code == 3
@@ -175,6 +228,25 @@ def test_verify_failed_candidate(capsys):
     code, out, _ = run(capsys, "verify", "--group", "Z3", "--blocks", "AD")
     assert code == 1
     assert "associativity" in out
+
+
+def test_verify_names_blocks_past_z_by_comma_separated_labels(capsys):
+    # Z12 has 31 blocks, A..Z then AA..AE: AB is one block, A,B two
+    bp = compute_blocks(AbelianGroup.from_spec("Z12"), 0)
+    for labels, mask in (("AB", 1 << 27), ("A,B", 0b11), ("ae,b", 1 << 30 | 0b10)):
+        code, out, _ = run(
+            capsys, "verify", "--group", "Z12", "--minus-one", "0", "--blocks", labels,
+            "--format", "json",
+        )
+        entry = json.loads(out)
+        assert entry["pi"] == build_candidate(bp, mask).pi_bits()
+        assert entry["blocks"] == bp.mask_labels(mask)
+        assert code == (0 if entry["ok"] else 1)
+    for concatenated in ("BD", "ABC"):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "--group", "Z12", "--minus-one", "0", "--blocks", concatenated)
+        assert exc.value.code == 2
+        assert "have A,B,C," in capsys.readouterr().err
 
 
 def test_verify_pi_source(capsys):
@@ -414,6 +486,15 @@ def test_groups_past_the_table_budget_exit_3(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert "exceeds the 1048576-entry budget" in err
+
+
+def test_huge_field_size_exits_3_at_once(capsys):
+    # a prime near 10^18: the field size cap refuses it before any factoring
+    start = time.perf_counter()
+    code, _, err = run(capsys, "quotient", "--q", "1000000000000000003", "--r", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "exceeds the field size cap" in err
 
 
 def test_quotient_rejects_bad_r(capsys):

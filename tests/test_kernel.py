@@ -3,7 +3,7 @@
 The kernel must name the same first failing axiom as verify_axioms on
 every block union (exhaustively up to order 6, on hypothesis draws up to
 order 12).  It compiles only nonempty sums and associativity, which rests
-on pair_to_block being invariant under both block moves, checked here up
+on block_index being invariant under both block moves, checked here up
 to order 16.  The words written from Gray-code positions must be the bits
 of t ^ (t >> 1), and the bit-sliced ample screen must agree with is_ample.
 """
@@ -83,7 +83,7 @@ def test_kernel_matches_scalar_on_drawn_block_unions(spec, m1, data):
 
 
 def test_identities_compile_away():
-    # both block moves fix pair_to_block, so commutativity and reversibility hold
+    # both block moves fix block_index, so commutativity and reversibility hold
     # on every union of blocks and the circuit leaves them out, as it does
     # distributivity and unique negatives, which hold for every relation
     for spec, m1 in partitions(1, 16):

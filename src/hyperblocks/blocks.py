@@ -68,23 +68,28 @@ def block_label(i: int) -> str:
 class BlockPartition:
     """The full partition of nonzero pairs into blocks for one (group, -1).
 
-    block_index, given as the block of each pair code, is kept as a
-    read-only r x r array: block_index[x, y] is the block of (x, y).
+    Its only per-pair data is block_index, a read-only int32 r x r array:
+    block_index[x, y] is the block of (x, y), one of b.  Partitions
+    compare and hash by (group, -1), which determine the rest.
     """
 
     group: AbelianGroup
     minus_one: int
-    blocks: tuple[tuple[int, ...], ...]  # pair codes, sorted within each block
-    block_index: np.ndarray = field(compare=False, repr=False)  # follows from blocks
+    b: int = field(compare=False)
+    block_index: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        index = np.array(self.block_index, dtype=np.intp).reshape(self.r, self.r)
+        index = np.array(self.block_index, dtype=np.int32).reshape(self.r, self.r)
         index.flags.writeable = False
         object.__setattr__(self, "block_index", index)
 
     @property
-    def b(self) -> int:
-        return len(self.blocks)
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Pair codes of each block, ascending within a block; rebuilt on every read."""
+        block = self.block_index.ravel()
+        codes = np.argsort(block, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(block, minlength=self.b)).tolist()
+        return tuple(tuple(codes[start:end]) for start, end in zip([0] + ends, ends))
 
     @property
     def r(self) -> int:
@@ -144,17 +149,15 @@ def compute_blocks(group: AbelianGroup, minus_one: int) -> BlockPartition:
     least, last = np.arange(r * r), None
     while not np.array_equal(least, last):
         last, least = least, np.minimum.reduce([least, least[consistency], least[reversal]])
-    _, block = np.unique(least, return_inverse=True)
-    codes = np.argsort(block, kind="stable").tolist()  # block by block, ascending within
-    ends = np.cumsum(np.bincount(block)).tolist()
-    blocks = tuple(tuple(codes[start:end]) for start, end in zip([0] + ends, ends))
-    return BlockPartition(group, minus_one, blocks, block)
+    labels, block = np.unique(least, return_inverse=True)
+    return BlockPartition(group, minus_one, len(labels), block)
 
 
 @lru_cache(maxsize=64)
 def _shared_blocks(group: AbelianGroup, minus_one: int) -> BlockPartition:
     """compute_blocks once per (group, -1) for callers that only look a
-    partition up; sharing is safe as a BlockPartition is frozen."""
+    partition up; sharing is safe as a BlockPartition is frozen.  An entry
+    holds 4 r^2 bytes, so the 64 entries hold at most 256 MiB."""
     return compute_blocks(group, minus_one)
 
 

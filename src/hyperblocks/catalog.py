@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
-from .census import canonical_forms
+from .blocks import _shared_blocks
+from .census import _union_keys, automorphisms_fixing, canonical_form
 from .groups import AbelianGroup
 from .hyperfields import HyperfieldCandidate
 
@@ -103,9 +104,11 @@ def load_records(path: str | Path) -> list[CatalogRecord]:
 
 
 def dedup_records(records) -> list[CatalogRecord]:
-    """Keep the first record per isomorphism class (group, -1, canonical pi).
+    """Keep the first record per isomorphism class, keyed in one batch per (group, -1).
 
-    The canonical forms are computed per (group, -1), in one batch each.
+    A union of blocks is keyed by its block-orbit key (_union_keys), any other
+    relation by its canonical_form: automorphisms map unions to unions, so
+    the two kinds never share a class.
     """
     records = list(records)
     batches: dict[tuple[AbelianGroup, int], list[int]] = {}
@@ -113,8 +116,12 @@ def dedup_records(records) -> list[CatalogRecord]:
         batches.setdefault((rec.candidate.group, rec.candidate.minus_one), []).append(i)
     keys: list[tuple] = [()] * len(records)
     for (group, minus_one), index in batches.items():
-        forms = canonical_forms(group, minus_one, [records[i].candidate for i in index])
-        for i, form in zip(index, forms):
+        candidates = [records[i].candidate for i in index]
+        unions, union_keys = _union_keys(_shared_blocks(group, minus_one), candidates)
+        forms = dict(zip(unions.tolist(), union_keys.tolist()))
+        autos = automorphisms_fixing(group, minus_one)
+        for j, (i, h) in enumerate(zip(index, candidates)):
+            form = forms[j] if j in forms else canonical_form(h, autos)
             keys[i] = (group.factors, minus_one, form)
     seen = set()
     out = []

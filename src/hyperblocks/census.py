@@ -28,10 +28,10 @@ np.add.reduceat, the collected chunk columns are reduced the same way
 whenever they pass max(COMPACT_ROWS, classes so far), and merging shard
 censuses concatenates their columns and reduces once.  The pi strings
 are built only when Census.classes is first read, one uint8 gather of
-the key bits per 2^14 classes.  canonical_form stays the general oracle
-for arbitrary relations; canonical_forms keys the block unions among a
-batch of candidates (_union_keys, which the quotient atlas shares) and
-leaves only the rest to it.
+the key bits per 2^14 classes.  _union_keys gives the block unions
+among any candidates the same keys, exactly at any b, for the quotient
+atlas and catalog deduplication; canonical_form stays the general
+oracle for arbitrary relations.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .blocks import BlockPartition, _shared_blocks, compute_blocks
+from .blocks import BlockPartition, compute_blocks
 from .errors import CapacityError
 from .groups import AbelianGroup
 from .hyperfields import (
@@ -49,6 +49,8 @@ from .hyperfields import (
     STATUS_CERTIFIED,
     HyperfieldCandidate,
     build_candidate,
+    row_ints,
+    union_block_bits,
 )
 
 MODE_FULL = "full"
@@ -69,17 +71,18 @@ def automorphisms_fixing(group: AbelianGroup, minus_one: int) -> tuple[tuple[int
 def block_permutations(bp: BlockPartition) -> np.ndarray:
     """perms[k, i]: the block onto which the k-th automorphism fixing -1 maps block i.
 
-    Raises RuntimeError if an automorphism maps some block onto no single
-    block, which would make block masks unsound as isomorphism keys.
+    Worked out one automorphism at a time.  Raises RuntimeError if one
+    maps some block onto no single block, which would make block masks
+    unsound as isomorphism keys.
     """
     autos = np.array(automorphisms_fixing(bp.group, bp.minus_one), dtype=np.intp)
     block_of = bp.block_index.ravel()
-    # block of the image of every pair, one row per automorphism
-    moved = bp.block_index[autos[:, :, None], autos[:, None, :]].reshape(len(autos), -1)
-    perms = np.empty((len(autos), bp.b), dtype=np.intp)
-    perms[:, block_of] = moved
-    if not (perms[:, block_of] == moved).all():
-        raise RuntimeError(f"an automorphism of {bp.group} splits a block")
+    perms = np.empty((len(autos), bp.b), dtype=np.int32)
+    for perm, sigma in zip(perms, autos):
+        moved = bp.block_index[np.ix_(sigma, sigma)].ravel()  # block of each pair's image
+        perm[block_of] = moved
+        if not np.array_equal(perm[block_of], moved):
+            raise RuntimeError(f"an automorphism of {bp.group} splits a block")
     return perms
 
 
@@ -442,26 +445,18 @@ def _pi_strings(bp: BlockPartition, keys: np.ndarray) -> list[str]:
 
 @lru_cache(maxsize=64)
 def _key_weights(bp: BlockPartition) -> np.ndarray:
-    """weights[k, i] = 2^(b-1-s_k(i)) for the k-th automorphism s_k fixing -1.
+    """weights[k, i] = 2^(b-1-s_k(i)) for the k-th automorphism s_k fixing -1, in float64.
 
-    float64 for b <= KEY_BITS; past that, Python ints in an object array,
-    which keep the keys exact at any b but are far slower.  Built once per
-    partition and shared, so read-only.
+    Its keys are exact for b <= KEY_BITS, the only partitions it serves.
+    Built once per partition and shared, so read-only.
     """
-    shifts = bp.b - 1 - block_permutations(bp)
-    if bp.b <= KEY_BITS:
-        weights = np.ldexp(1.0, shifts)
-    else:
-        weights = np.array([[1 << s for s in row] for row in shifts.tolist()], dtype=object)
+    weights = np.ldexp(1.0, bp.b - 1 - block_permutations(bp))
     weights.flags.writeable = False
     return weights
 
 
 def _orbit_keys(weights: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Block-orbit key of each column of 0/1 block bits: min over k of weights[k] @ bits.
-
-    The keys have the dtype of weights, and are exact (see _key_weights).
-    """
+    """Block-orbit key of each column of 0/1 block bits: min over k of weights[k] @ bits."""
     values = bits.astype(weights.dtype)
     keys = weights[0] @ values
     for w in weights[1:]:
@@ -546,33 +541,25 @@ def _union_keys(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(indices, block-orbit keys) of the candidates on bp whose pi is a union of blocks.
 
-    A relation is a union when every pair carries the bit of its block's
-    first pair; its key is the one enumerate_subsets gives its block mask.
+    A key is the one enumerate_subsets gives the union's block mask, the
+    least over automorphisms s fixing -1 of the sum of 2^(b-1-s(i)) over
+    its blocks i.  Up to KEY_BITS blocks the keys are float64, from
+    _key_weights; past it, for each automorphism s, block bit i is moved
+    to column b-1-s(i) and the columns packed into one Python int, exact
+    at any b.
     """
-    text = "".join(h.pi_bits() for h in candidates).encode("ascii")
-    bits = (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(-1, bp.r * bp.r)
-    block_bits = bits[:, [block[0] for block in bp.blocks]]
-    unions = np.flatnonzero((bits == block_bits[:, bp.block_index.ravel()]).all(axis=1))
-    return unions, _orbit_keys(_key_weights(bp), block_bits[unions].T)
-
-
-def canonical_forms(
-    group: AbelianGroup, minus_one: int, candidates: Sequence[HyperfieldCandidate]
-) -> list[str]:
-    """canonical_form of each candidate on this group and -1, computed in one batch.
-
-    The block unions among them (all of them, when they come from a
-    census) are keyed by _union_keys and the keys turned into pi strings
-    by _pi_strings; only the other relations go through canonical_form.
-    """
-    bp = _shared_blocks(group, minus_one)
-    forms: list[str | None] = [None] * len(candidates)
+    union, bits = union_block_bits(bp, candidates)
+    unions = np.flatnonzero(union)
+    bits = bits[unions]
     if bp.b <= KEY_BITS:
-        unions, keys = _union_keys(bp, candidates)
-        for i, form in zip(unions.tolist(), _pi_strings(bp, keys)):
-            forms[i] = form
-    autos = automorphisms_fixing(group, minus_one)
-    return [canonical_form(h, autos) if f is None else f for h, f in zip(candidates, forms)]
+        return unions, _orbit_keys(_key_weights(bp), bits.T)
+    keys: list[int] | None = None
+    moved = np.empty_like(bits)
+    for perm in block_permutations(bp):
+        moved[:, bp.b - 1 - perm] = bits
+        own = row_ints(moved)
+        keys = own if keys is None else list(map(min, keys, own))
+    return unions, np.array(keys, dtype=object)
 
 
 def enumerate_sharded(

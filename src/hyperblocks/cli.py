@@ -16,8 +16,10 @@ Exit codes: 0 success, 1 a verification-style claim failed, 2 usage
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -75,7 +77,14 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, obj) -> None:
-    _emit(args, json.dumps(obj, indent=2, sort_keys=True))
+    """Write what _emit would of json.dumps(obj), 2^16 encoder chunks at a time:
+    one write per chunk takes about half as long again as joining them all."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    out = getattr(args, "out", None)
+    with Path(out).open("w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        for batch in iter(lambda: "".join(itertools.islice(chunks, 1 << 16)), ""):
+            fh.write(batch)
+        fh.write("\n")
 
 
 def _emit_csv(args, rows: list[list]) -> None:

@@ -14,8 +14,11 @@ the group elements, bit r is the zero element.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .blocks import BlockPartition, _shared_blocks, pair_code
+import numpy as np
+
+from .blocks import BlockPartition, _shared_blocks
 from .groups import AbelianGroup
 
 STATUS_UNVERIFIED = "unverified"
@@ -165,44 +168,49 @@ class HyperfieldCandidate:
         )
 
 
+def row_ints(bits: np.ndarray) -> list[int]:
+    """Each row of a 2-d 0/1 array as one int, column j weighing 2^j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+
+
 def build_candidate(bp: BlockPartition, chosen_blocks: int) -> HyperfieldCandidate:
     """Candidate whose pi is the union of the blocks in the given bitmask."""
     if chosen_blocks < 0 or chosen_blocks >> bp.b:
         raise ValueError(f"block mask {chosen_blocks:#x} out of range for b={bp.b}")
-    r = bp.r
-    rows = [0] * r
-    mask = chosen_blocks
-    while mask:
-        low = mask & -mask
-        for code in bp.blocks[low.bit_length() - 1]:
-            rows[code // r] |= 1 << (code % r)
-        mask ^= low
-    return HyperfieldCandidate(bp.group, bp.minus_one, tuple(rows))
+    octets = np.frombuffer(chosen_blocks.to_bytes(-(-bp.b // 8), "little"), dtype=np.uint8)
+    chosen = np.unpackbits(octets, count=bp.b, bitorder="little")
+    return HyperfieldCandidate(bp.group, bp.minus_one, tuple(row_ints(chosen[bp.block_index])))
+
+
+def union_block_bits(
+    bp: BlockPartition, candidates: Sequence[HyperfieldCandidate]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(is a union, block bits) of each candidate on bp, as a bool column and 0/1 rows:
+    the blocks its pi meets, whose union is pi exactly when pi is a union of blocks."""
+    text = "".join(h.pi_bits() for h in candidates).encode("ascii")
+    pi = (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(-1, bp.r * bp.r)
+    block_of = bp.block_index.ravel()
+    bits = np.zeros((len(pi), bp.b), dtype=np.uint8)
+    at, code = np.nonzero(pi)
+    bits[at, block_of[code]] = 1
+    return (bits[:, block_of] == pi).all(axis=1), bits
 
 
 def is_union_of_blocks(h: HyperfieldCandidate, bp: BlockPartition | None = None) -> bool:
     """True when every block is either fully inside or fully outside pi."""
     if bp is None:
         bp = _shared_blocks(h.group, h.minus_one)
-    r = h.r
-    for block in bp.blocks:
-        first = h.rows[block[0] // r] >> (block[0] % r) & 1
-        for code in block[1:]:
-            if (h.rows[code // r] >> (code % r) & 1) != first:
-                return False
-    return True
+    return bool(union_block_bits(bp, [h])[0][0])
 
 
 def block_subset_of(h: HyperfieldCandidate, bp: BlockPartition) -> int:
     """Bitmask of blocks present in pi; raises if pi is not a union of blocks."""
-    if not is_union_of_blocks(h, bp):
+    union, bits = union_block_bits(bp, [h])
+    if not union[0]:
         raise ValueError("pi is not a union of blocks")
-    mask = 0
-    r = h.r
-    for i, block in enumerate(bp.blocks):
-        if h.rows[block[0] // r] >> (block[0] % r) & 1:
-            mask |= 1 << i
-    return mask
+    return row_ints(bits)[0]
 
 
 # -- verification -----------------------------------------------------------

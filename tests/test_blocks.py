@@ -1,10 +1,13 @@
 """Block partitions of the nonzero pair grid and their coefficient matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hyperblocks import (
     AbelianGroup,
+    BlockPartition,
     CapacityError,
     abelian_groups_up_to,
     block_label,
@@ -206,6 +209,33 @@ def test_block_partition_invariants_small_sweep():
             for i, blk in enumerate(bp.blocks):
                 for p in blk:
                     assert bp.block_of(p // r, p % r) == i
+
+
+def test_a_partition_holds_one_int32_block_index():
+    # Z1020 with -1 = identity has b = 173,911 blocks; its r x r int32 array is 4.0 MiB
+    g = AbelianGroup.from_spec("Z1020")  # builds the Cayley table before tracing
+    tracemalloc.start()
+    try:
+        bp = compute_blocks(g, 0)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 5 << 20
+    assert bp.b == 173911
+    assert bp.block_index.dtype == np.int32 and bp.block_index.shape == (1020, 1020)
+    assert not bp.block_index.flags.writeable
+    with pytest.raises(ValueError):
+        bp.block_index[0, 0] = 1
+
+
+def test_partitions_compare_and_hash_by_group_and_minus_one():
+    g = AbelianGroup.from_spec("Z2xZ4")
+    bp = compute_blocks(g, 2)
+    again = compute_blocks(AbelianGroup.from_spec("Z2xZ4"), 2)
+    assert again is not bp and again == bp and hash(again) == hash(bp)
+    assert {bp: "found"}[BlockPartition(g, 2, bp.b, bp.block_index)] == "found"
+    assert compute_blocks(g, 4) != bp
+    assert compute_blocks(AbelianGroup.from_spec("Z8"), 4) != bp
 
 
 def test_one_row_blocks_count_is_r_for_odd_order():

@@ -4,9 +4,15 @@ enumerate_subsets classes its survivors by the least bit-reversed block
 mask over the automorphisms fixing -1, and builds each class's pi string
 once.  Here every class is recomputed by grouping the same survivors
 under canonical_form, exhaustively up to order 8 and on hypothesis-drawn
-Gray-code spans of the order-9 partitions.
+Gray-code spans of the order-9 partitions.  Past 53 blocks, the keys of
+block unions (which the quotient atlas and catalog deduplication read)
+are checked against canonical_form as well.
 """
 
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,13 +24,16 @@ from hyperblocks import (
     CapacityError,
     HyperfieldCandidate,
     abelian_groups_up_to,
+    block_subset_of,
     build_candidate,
     canonical_form,
     compute_blocks,
     dedup_records,
     enumerate_subsets,
     is_ample,
+    is_union_of_blocks,
     make_record,
+    quotient_hyperfield,
 )
 from hyperblocks import census
 from hyperblocks.blocks import BlockPartition
@@ -53,6 +62,16 @@ def reference_classes(bp, masks):
 
 def census_classes(c):
     return [(cl.canonical_pi, cl.members, cl.example_subset, cl.ample) for cl in c.classes]
+
+
+def image(h, sigma):
+    """The relation {(sigma x, sigma y) : (x, y) in pi}, isomorphic to h when sigma fixes -1."""
+    rows = [0] * h.r
+    for x, row in enumerate(h.rows):
+        for y in range(h.r):
+            if row >> y & 1:
+                rows[sigma[x]] |= 1 << sigma[y]
+    return HyperfieldCandidate(h.group, h.minus_one, tuple(rows))
 
 
 def reversed_mask(mask, b):
@@ -124,10 +143,9 @@ def test_block_permutations_reject_a_split_block():
     # pair (1, a) alone and every other pair of Z3 in one block: a -> a^2
     # sends (1, a) to (1, a^2), which lies in the other block with (1, 1)
     g = AbelianGroup.from_spec("Z3")
-    assignment = tuple(1 if code == 1 else 0 for code in range(9))
-    blocks = (tuple(c for c in range(9) if c != 1), (1,))
+    assignment = [1 if code == 1 else 0 for code in range(9)]
     with pytest.raises(RuntimeError):
-        block_permutations(BlockPartition(g, 0, blocks, assignment))
+        block_permutations(BlockPartition(g, 0, 2, assignment))
 
 
 def test_automorphisms_fixing_enumerates_once_per_partition(monkeypatch):
@@ -159,19 +177,77 @@ def test_keys_past_float64_precision_are_refused():
 
 
 def test_union_keys_stay_exact_past_float64_precision():
-    # past KEY_BITS blocks the keys are Python ints; here they are read
-    # against canonical_form, with keys of up to 57 significant bits
-    bp = partition("Z17", 0)
-    assert bp.b > census.KEY_BITS
-    # one pair of a block of several is a relation that is no union
-    split = next(block[0] for block in bp.blocks if len(block) > 1)
-    rows = [0] * bp.r
-    rows[split // bp.r] = 1 << split % bp.r
-    lone = HyperfieldCandidate(bp.group, 0, tuple(rows))
-    masks = [(1 << bp.b) - 1 - (1 << i) for i in range(0, bp.b, 7)] + [1, 3 << 50]
-    unions, keys = census._union_keys(bp, [lone] + [build_candidate(bp, m) for m in masks])
-    assert unions.tolist() == list(range(1, len(masks) + 1))
-    for mask, key in zip(masks, keys.tolist()):
-        form = canonical_form(build_candidate(bp, mask))
-        blocks = [i for i, block in enumerate(bp.blocks) if form[block[0]] == "1"]
-        assert key == sum(1 << (bp.b - 1 - i) for i in blocks)
+    # past KEY_BITS blocks the keys are Python ints packed from the block
+    # bits; here they are read against canonical_form
+    for spec in ["Z17", "Z19", "Z31", "Z64"]:
+        bp = partition(spec, 0)
+        assert bp.b > census.KEY_BITS
+        firsts = [block[0] for block in bp.blocks]
+        # one pair of a block of several is a relation that is no union
+        split = next(block[0] for block in bp.blocks if len(block) > 1)
+        rows = [0] * bp.r
+        rows[split // bp.r] = 1 << split % bp.r
+        lone = HyperfieldCandidate(bp.group, 0, tuple(rows))
+        full = (1 << bp.b) - 1
+        masks = [full - (1 << i) for i in range(0, bp.b, bp.b // 6)]
+        masks += [1, 3 << 50, full // 7, full // 3 << 1 & full]
+        unions, keys = census._union_keys(bp, [lone] + [build_candidate(bp, m) for m in masks])
+        assert unions.tolist() == list(range(1, len(masks) + 1))
+        for mask, key in zip(masks, keys.tolist()):
+            form = canonical_form(build_candidate(bp, mask))
+            blocks = [i for i, first in enumerate(firsts) if form[first] == "1"]
+            assert key == sum(1 << (bp.b - 1 - i) for i in blocks), (spec, mask)
+
+
+def test_union_keys_of_z256_quotients_stay_small():
+    # keys are packed one automorphism at a time: an |A| x b table of
+    # b-bit ints would hold 1.1 GiB here (b = 11,051, 128 automorphisms)
+    quotients = [quotient_hyperfield(q, 256) for q in (257, 769, 3329)]
+    bp = partition("Z256", quotients[0].minus_one)
+    autos = automorphisms_fixing(bp.group, bp.minus_one)
+    assert {h.minus_one for h in quotients} == {bp.minus_one} and len(autos) == 128
+    candidates = quotients + [image(h, autos[k]) for h, k in zip(quotients, (3, 50, 127))]
+    tracemalloc.start()
+    try:
+        unions, keys = census._union_keys(bp, candidates)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 << 20
+    assert unions.tolist() == list(range(6))
+    keys = keys.tolist()
+    assert keys[:3] == keys[3:]
+    # each key against the least over automorphisms of its permuted block bits as a string
+    perms = block_permutations(bp)
+    for h, key in zip(quotients, keys):
+        mask = block_subset_of(h, bp)
+        chosen = [i for i in range(bp.b) if mask >> i & 1]
+        text = np.full((len(perms), bp.b), ord("0"), dtype=np.uint8)
+        text[np.arange(len(perms))[:, None], perms[:, chosen]] = ord("1")
+        assert key == min(int(row.tobytes(), 2) for row in text)
+
+
+@pytest.mark.parametrize("spec,m1", [("Z7", 0), ("Z2xZ4", 2), ("Z3", 0), ("Z2xZ2", 1)])
+def test_dedup_mixes_unions_and_other_relations(spec, m1):
+    # unions are keyed by block-orbit key, the rest by canonical_form; the
+    # first record of each canonical_form class is kept either way
+    rng = random.Random(spec)
+    bp = partition(spec, m1)
+    autos = automorphisms_fixing(bp.group, m1)
+    records = []
+    for _ in range(150):
+        if rng.random() < 0.5:
+            h = build_candidate(bp, rng.getrandbits(bp.b))
+        else:
+            h = HyperfieldCandidate(bp.group, m1, tuple(rng.getrandbits(bp.r) for _ in range(bp.r)))
+        records += [make_record(h), make_record(image(h, rng.choice(autos)))]
+    rng.shuffle(records)
+    expected, seen = [], set()
+    for rec in records:
+        form = canonical_form(rec.candidate)
+        if form not in seen:
+            seen.add(form)
+            expected.append(rec)
+    kept = dedup_records(records)
+    assert kept == expected
+    assert 0 < sum(is_union_of_blocks(rec.candidate) for rec in kept) < len(kept)

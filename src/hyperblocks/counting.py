@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .blocks import BlockPartition, coefficient_matrix
 from .errors import CapacityError
 
@@ -75,40 +77,67 @@ def ample_system(bp: BlockPartition) -> InequalitySystem:
 def count_solutions(s: InequalitySystem, state_limit: int | None = None) -> int:
     """Exact number of x in {0,1}^ncols with C x > d componentwise.
 
-    One dynamic program over the columns.  A state is the tuple of per-row
+    One dynamic program over the columns.  A state is the row of per-row
     partial sums of the integer-scaled rows, each capped at the least sum
     that satisfies its row, t_i = max(floor(d_i) + 1, 0); the answer is
-    the number of assignments reaching the state t.  Counts are Python
-    ints, so they stay exact past 2^63.  More than state_limit live states
+    the number of assignments reaching the state t.  The live states are
+    one 2-D array in the narrowest unsigned dtype that holds every t_i
+    (object past uint64), and their counts are int64 while 2^ncols fits,
+    exact Python ints past that.  Each column keeps the states that can
+    still reach t with x_j = 0, adds the capped images for x_j = 1, and
+    merges equal states by one lexsort.  More than state_limit live states
     (default _STATE_LIMIT, which no system of 20 columns or fewer can
     reach) raises CapacityError; the live states bound both time and
     memory.
     """
     limit = _STATE_LIMIT if state_limit is None else state_limit
     rows, ds = _scaled_integer_rows(s)
-    targets = tuple(max(math.floor(d) + 1, 0) for d in ds)
+    targets = [max(math.floor(d) + 1, 0) for d in ds]
     left = [sum(row) for row in rows]  # row i's sum over the columns not yet processed
     if any(v < t for v, t in zip(left, targets)):
         return 0
-    states: dict[tuple[int, ...], int] = {(0,) * len(rows): 1}
+    dtype = _state_dtype(max(targets, default=0))
+    target = np.array(targets, dtype=dtype)
+    states = np.zeros((1, len(rows)), dtype=dtype)
+    counts = np.ones(1, dtype=np.int64 if s.ncols <= 62 else object)
     for j in range(s.ncols):
-        col = tuple(row[j] for row in rows)
-        touched = [i for i, c in enumerate(col) if c]
-        for i in touched:
-            left[i] -= col[i]
-        nxt: dict[tuple[int, ...], int] = {}
-        for state, n in states.items():
+        touched = [i for i, row in enumerate(rows) if row[j]]
+        if touched:
+            # an entry past its target counts as the target, so the
+            # capped image never leaves the dtype
+            col = np.array([min(rows[i][j], targets[i]) for i in touched], dtype=dtype)
+            for i in touched:
+                left[i] -= rows[i][j]
             # invariant: every live state can still reach its targets,
             # state[i] + left[i] >= targets[i] for all i.  Setting x_j = 1
             # keeps it; x_j = 0 can break it only in the rows col touches.
-            if all(state[i] + left[i] >= targets[i] for i in touched):
-                nxt[state] = nxt.get(state, 0) + n
-            up = tuple(min(v + c, t) for v, c, t in zip(state, col, targets))
-            nxt[up] = nxt.get(up, 0) + n
-        states = nxt
+            need = np.array([max(targets[i] - left[i], 0) for i in touched], dtype=dtype)
+            keep = (states[:, touched] >= need).all(axis=1)
+            up = states.copy()
+            up[:, touched] = np.minimum(states[:, touched], target[touched] - col) + col
+            states, counts = _merge(
+                np.concatenate([states[keep], up]), np.concatenate([counts[keep], counts])
+            )
+        else:
+            counts = counts * 2  # both values of x_j keep every state
         if len(states) > limit:
             raise CapacityError(f"{len(states)} live counting states exceed {limit}")
-    return states.get(targets, 0)
+    return int(counts[(states == target).all(axis=1)].sum())
+
+
+def _state_dtype(largest: int) -> np.dtype:
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if largest <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(object)
+
+
+def _merge(states: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of states, each with the sum of its counts."""
+    order = np.lexsort(states.T)
+    states, counts = states[order], counts[order]
+    starts = np.concatenate([[True], (states[1:] != states[:-1]).any(axis=1)]).nonzero()[0]
+    return states[starts], np.add.reduceat(counts, starts)
 
 
 def _scaled_integer_rows(s: InequalitySystem) -> tuple[list[list[int]], list[Fraction]]:

@@ -234,9 +234,11 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
     n, k = system.n_vars, len(system.equations)
     if k >= n:
         raise ValueError(f"need fewer equations than variables, got {k} >= {n}")
-    _validate(h, system)
-    prod, add, negdiv = t.prod, t.add, t.negdiv
     zero = t.zero
+    for eq in system.equations:
+        if len(eq) != n or min(eq) < 0 or max(eq) > zero:
+            _validate(h, system)  # raises, naming the fault
+    prod, add, negdiv = t.prod, t.add, t.negdiv
     zero_bit = 1 << zero
 
     tied: dict[int, tuple[int, int]] = {}  # var -> (root, factor): x_var = factor * x_root
@@ -278,11 +280,11 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
                 assignment[var] = 0
                 consts.append(terms.pop(var))
             if not terms:
-                if not _element_sum(t, consts) & zero_bit:
+                if consts and not _element_sum(t, consts) & zero_bit:
                     raise SolverInvariantError("constant equation misses zero")
             elif len(terms) == 1:
                 (var, coeff), = terms.items()
-                rest = _element_sum(t, consts)
+                rest = _element_sum(t, consts) if consts else zero_bit
                 assignment[var] = _pick(_solution_set(negdiv[coeff], rest), zero)
                 settled = True
             elif len(terms) == 2 and not consts:
@@ -316,7 +318,7 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
             var = min(light)
             mine = [eq for eq in residue if var in eq[0]]
             deferred.append((var, mine))
-            pending = [eq for eq in pending if eq not in mine]
+            pending = [eq for eq in pending if not any(eq is m for m in mine)]
         else:
             # the pile's equations turn constant and drop in the next pass
             _solve_pile(t, residue, assignment)
@@ -342,8 +344,16 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
         root, factor = tied.get(var, (var, 0))
         result.append(prod[factor][assignment[root]])
     solution = tuple(result)
-    # the solver's correctness gate; the system was validated on entry
-    if is_trivial(h, solution) or not _holds(t, system, solution):
+    # the solver's correctness gate: nontrivial, and zero in every
+    # equation's sum; the system was validated on entry
+    valid = solution.count(zero) < n
+    sums = t.sums
+    for eq in system.equations:
+        total = zero_bit
+        for c, x in zip(eq, solution):
+            total = sums[total][prod[c][x]]
+        valid = valid and total & zero_bit
+    if not valid:
         raise SolverInvariantError(f"solver produced an invalid assignment {solution}")
     return solution
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .blocks import _shared_blocks
 from .census import _union_keys
 from .errors import CapacityError
@@ -23,6 +25,7 @@ NONQUOTIENT = "nonquotient"
 UNKNOWN = "unknown"
 
 Q_BOUND_CAP = 100_000
+_GENERATOR_BATCH = 64  # extension-field generator candidates tested at once
 
 
 def _is_prime_power(q: int) -> tuple[int, int] | None:
@@ -41,7 +44,9 @@ class FiniteField:
     The packed value sum(c_i * p^i) encodes the polynomial sum(c_i * x^i)
     over the prime field.  Extension fields reduce modulo the least monic
     irreducible of degree k, comparing coefficient tuples from the highest
-    degree down.
+    degree down.  exp and log are read-only int64 arrays over the least
+    packed primitive element >= 2: exp[i] = generator^i for i < q - 1,
+    log[exp[i]] = i and log[0] = -1.
     """
 
     def __init__(self, q: int):
@@ -147,23 +152,68 @@ class FiniteField:
 
     # -- discrete logs --
 
+    def _times(self, a, w) -> np.ndarray:
+        """Packed products a * w, elementwise over broadcast arrays of
+        packed elements.  Extension fields shift w's digit array up one
+        power of x per digit of a, reducing by the modulus as they go."""
+        p, k = self.p, self.k
+        a, w = np.asarray(a, dtype=np.int64), np.asarray(w, dtype=np.int64)
+        if k == 1:
+            return a * w % p
+        weights = p ** np.arange(k, dtype=np.int64)
+        low = np.array(self.modulus[:k], dtype=np.int64)
+        a_digits = a[..., None] // weights % p
+        shifted = w[..., None] // weights % p  # digits of w * x^i, from i = 0 up
+        acc = 0
+        for i in range(k):
+            acc = acc + a_digits[..., i : i + 1] * shifted
+            top = shifted[..., -1:]
+            shifted = np.concatenate([np.zeros_like(top), shifted[..., :-1]], axis=-1)
+            shifted = (shifted - top * low) % p  # x^k = -(the modulus below x^k)
+        return (acc % p) @ weights
+
     def _build_log_tables(self) -> None:
-        q = self.q
-        group_order = q - 1
-        prime_parts = list(_prime_factors(group_order)) if group_order > 1 else []
+        """The least packed primitive element >= 2, and exp / log arrays
+        built from it by doubling: exp[L:2L] = times(g^L)[exp[:L]]."""
+        q, p = self.q, self.p
+        n = q - 1
+        cofactors = [n // ell for ell in _prime_factors(n)] if n > 1 else []
         zeta = 1
-        for z in range(2, q):
-            if all(self.power(z, group_order // ell) != 1 for ell in prime_parts):
-                zeta = z
-                break
+        if self.k == 1:
+            zeta = next((z for z in range(2, q) if all(pow(z, e, p) != 1 for e in cofactors)), 1)
+        else:
+            # the prime subfield's elements have order dividing p - 1 < n;
+            # candidates go in batches, all cofactor powers at once
+            for start in range(p, q, _GENERATOR_BATCH):
+                z = np.arange(start, min(start + _GENERATOR_BATCH, q))
+                primitive = np.all(self._powers(z, cofactors) != 1, axis=1)
+                if primitive.any():
+                    zeta = int(z[np.argmax(primitive)])
+                    break
         self.generator = zeta
-        exp = [1] * group_order
-        for i in range(1, group_order):
-            exp[i] = self.mul(exp[i - 1], zeta)
-        log = [-1] * q
-        for i, v in enumerate(exp):
-            log[v] = i
+        exp = np.ones(n, dtype=np.int64)
+        length, step = 1, zeta  # step = g^length
+        while length < n:
+            m = min(length, n - length)
+            exp[length : length + m] = self._times(step, exp[:m])
+            length *= 2
+            step = int(self._times(step, step))
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp] = np.arange(n)
+        exp.flags.writeable = log.flags.writeable = False
         self.exp, self.log = exp, log
+
+    def _powers(self, z: np.ndarray, exponents: list[int]) -> np.ndarray:
+        """z[i] ** exponents[j] as a len(z) x len(exponents) array, by
+        square-and-multiply over all of them at once."""
+        e = np.array(exponents, dtype=np.int64)
+        out = np.ones((len(z), len(e)), dtype=np.int64)
+        base = z[:, None]
+        while e.any():
+            out = np.where(e & 1, self._times(base, out), out)
+            base = self._times(base, base)
+            e >>= 1
+        return out
 
     def minus_one(self) -> int:
         return self.p - 1
@@ -195,15 +245,19 @@ def _quotient_data(q: int, r: int) -> tuple[AbelianGroup, tuple[int, ...], int, 
     field = FiniteField(q)
     if r < 1 or (q - 1) % r:
         raise ValueError(f"need r dividing q - 1, got r={r}, q={q}")
-    log = field.log
-    rows = [0] * r
-    for w in range(1, q):
-        s = field.add(w, 1)
-        if s:
-            rows[log[w] % r] |= 1 << (log[s] % r)
-    minus_one = log[field.minus_one()] % r
+    p, log = field.p, field.log
+    w = np.arange(1, q)
+    s = np.where(w % p == p - 1, w - (p - 1), w + 1)  # w + 1: add 1 to the lowest digit
+    nonzero = s != 0
+    grid = np.zeros((r, r), dtype=bool)
+    grid[log[w[nonzero]] % r, log[s[nonzero]] % r] = True
+    rows = tuple(
+        int.from_bytes(row.tobytes(), "little")
+        for row in np.packbits(grid, axis=1, bitorder="little")
+    )
+    minus_one = int(log[field.minus_one()]) % r
     group = AbelianGroup([r] if r > 1 else [])
-    return group, tuple(rows), minus_one, field.power(field.generator, r)
+    return group, rows, minus_one, int(field.exp[r % (q - 1)])
 
 
 def quotient_hyperfield(q: int, r: int) -> HyperfieldCandidate:

@@ -1,5 +1,6 @@
 """Exact 0-1 solution counting, valid swaps, and the decomposition bounds."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -105,6 +106,62 @@ def test_count_state_budget(z7_blocks):
     with pytest.raises(CapacityError):
         count_solutions(s, state_limit=34)
     assert count_solutions(s, state_limit=35) == 612
+
+
+def test_count_is_exact_past_int64():
+    # 70 free columns: 2^70 assignments, counted as a Python int
+    assert count_solutions(InequalitySystem.make([], [], ncols=70)) == 1 << 70
+    s = InequalitySystem.make([[1, 1, 1] + [0] * 67], [HALF3])
+    assert s.ncols == 70
+    assert count_solutions(s) == 4 << 67
+
+
+def test_many_rows_with_high_thresholds_match_brute_force():
+    # 20 rows whose targets run from a few to tens of thousands: the
+    # packed state space, the product of (target + 1) over the rows, is
+    # far past 2^63, and the large targets need a 32-bit state dtype
+    rng = random.Random(6363)
+    rows, thr = [], []
+    for i in range(20):
+        scale = 1 if i < 14 else 5000
+        row = [rng.randrange(0, 40) * scale for _ in range(12)]
+        rows.append(row)
+        thr.append(Fraction(rng.randrange(0, sum(row) + 1), 2))
+    s = InequalitySystem.make(rows, thr)
+    space = 1
+    for t in thr:
+        space *= math.floor(t) + 2
+    assert space > 1 << 63
+    assert max(thr) >= 1 << 16
+    assert count_solutions(s) == brute_count(s) > 0
+
+
+def test_targets_past_uint64_stay_exact():
+    big = 1 << 70
+    s = InequalitySystem.make(
+        [[big, big, 1, 0, big], [1, big, 3, big << 2, 0], [2, 0, 1, 1, 1]],
+        [Fraction(big), Fraction(3 * big, 2), 2],
+    )
+    assert count_solutions(s) == brute_count(s) > 0
+
+
+@pytest.mark.parametrize(
+    "spec,records",
+    [
+        ("Z5", [2, 4, 7]),
+        ("Z7", [2, 4, 8, 15, 18, 19, 30, 35]),
+        ("Z3xZ3", [2, 4, 6, 12, 23, 41, 49, 53, 73, 133, 213, 286]),
+    ],
+)
+def test_live_state_records_are_unchanged(spec, records):
+    # each record is the live-state count of the first column to exceed
+    # every earlier one; a limit just below it fails at that column and
+    # names that count, and the last record is the peak
+    s = ample_system(compute_blocks(AbelianGroup.from_spec(spec), 0))
+    for v in records:
+        with pytest.raises(CapacityError, match=f"^{v} live counting states exceed {v - 1}$"):
+            count_solutions(s, state_limit=v - 1)
+    assert count_solutions(s, state_limit=records[-1]) == count_solutions(s)
 
 
 def test_padding_doubles_per_zero_column(z3_blocks):

@@ -1,6 +1,10 @@
 """Finite fields, their coset hyperfields, and the quotient lookup."""
 
+import hashlib
+import json
+import math
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +35,7 @@ from hyperblocks import (
     verify_axioms,
 )
 from hyperblocks import census, quotients
+from hyperblocks.groups import _prime_factors
 from hyperblocks.quotients import default_q_bound, subgroup_generator
 from conftest import from_labels
 
@@ -106,6 +111,34 @@ def test_field_rejects_non_prime_powers(q):
 def test_field_capacity_cap():
     with pytest.raises(CapacityError):
         FiniteField(2 ** 17)
+
+
+def test_field_tables_match_the_scalar_arithmetic():
+    """For every prime power q <= 2,000: exp steps by one scalar mul of the
+    least primitive element >= 2, log inverts it, and the quotient rows
+    for the least prime r dividing q - 1 and for its largest divisor
+    r <= 100, past one 64-bit word, equal a loop over the scalar add."""
+    for q in range(2, 2001):
+        if quotients._is_prime_power(q) is None:
+            continue
+        f = FiniteField(q)
+        exp, log, g = f.exp.tolist(), f.log.tolist(), f.generator
+        assert [f.mul(e, g) for e in exp] == exp[1:] + [1], q
+        assert log[0] == -1 and [log[e] for e in exp] == list(range(q - 1)), q
+        # w = g^log[w] is primitive exactly when log[w] is prime to q - 1
+        assert log[g] == (1 if q > 2 else 0), q
+        assert all(math.gcd(log[w], q - 1) > 1 for w in range(2, g)), q
+        succ = [f.add(w, 1) for w in range(q)]
+        divisors = [r for r in range(1, min(q - 1, 100) + 1) if (q - 1) % r == 0]
+        for r in {divisors[-1], min(_prime_factors(q - 1), default=1)}:
+            rows = [0] * r
+            for w in range(1, q):
+                if succ[w]:
+                    rows[log[w] % r] |= 1 << (log[succ[w]] % r)
+            _, got, minus_one, gen = quotients._quotient_data(q, r)
+            assert got == tuple(rows), (q, r)
+            assert minus_one == log[f.minus_one()] % r, (q, r)
+            assert gen == f.power(g, r), (q, r)
 
 
 # -- quotient construction ----------------------------------------------------------
@@ -343,3 +376,38 @@ def test_every_quotient_is_a_union_of_blocks():
         for q in range(r + 1, default_q_bound(r) + 1, r):
             if quotients._is_prime_power(q) is not None:
                 assert is_union_of_blocks(quotient_hyperfield(q, r)), (q, r)
+
+
+ATLAS_DIGESTS = Path(__file__).parent / "data" / "atlas_digests.json"
+
+
+def atlas_digests():
+    """For r = 2..8 at the default bound: the sha256 of the quotient atlas,
+    and [q, field generator, -1, subgroup generator] of every quotient it
+    keys, in ascending q."""
+    out = {}
+    for r in range(2, 9):
+        bound = default_q_bound(r)
+        atlas = quotients._quotient_atlas(r, bound)
+        fields = [
+            [q, FiniteField(q).generator, quotient_hyperfield(q, r).minus_one, subgroup_generator(q, r)]
+            for q in range(r + 1, bound + 1, r)
+            if quotients._is_prime_power(q) is not None
+        ]
+        digest = hashlib.sha256(repr(sorted(atlas.items())).encode()).hexdigest()
+        out[str(r)] = {"atlas": digest, "fields": fields}
+    return out
+
+
+def test_atlases_match_the_golden_file():
+    """The atlases and the quotients they key are exactly those pinned in
+    atlas_digests.json.  The file was written by the field code as it
+    stood before exp and log became arrays built by doubling, from the
+    repository root, with
+
+        PYTHONPATH=src:tests python -c "import json, test_quotients as t;
+            print(json.dumps(t.atlas_digests(), indent=1, sort_keys=True))"
+
+    redirected into tests/data/atlas_digests.json.  Changing a field's
+    generator or an atlas means writing the file again, on purpose."""
+    assert atlas_digests() == json.loads(ATLAS_DIGESTS.read_text())

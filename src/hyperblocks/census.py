@@ -23,15 +23,17 @@ by their least pair code, so the row-major pi string of a block union
 orders exactly as its bit-reversed block mask.  The least reversed mask
 over the orbit is therefore the canonical form, as an integer.  A census
 keeps its classes as four numpy columns sorted by key (key, members,
-least mask, ample): each chunk's survivors are reduced by one lexsort and
-np.add.reduceat, the collected chunk columns are reduced the same way
-whenever they pass max(COMPACT_ROWS, classes so far), and merging shard
-censuses concatenates their columns and reduces once.  The pi strings
-are built only when Census.classes is first read, one uint8 gather of
-the key bits per 2^14 classes.  _union_keys gives the block unions
-among any candidates the same keys, exactly at any b, for the quotient
-atlas and catalog deduplication; canonical_form stays the general
-oracle for arbitrary relations.
+least mask, ample).  The chunks' survivors are collected as raw columns,
+since in Gray-code order an orbit's members fall in different chunks and
+one chunk alone has little to merge; the collected columns are reduced
+by one lexsort and np.add.reduceat whenever they pass max(COMPACT_ROWS,
+classes so far) and once at the end.  Merging shard censuses
+concatenates their columns and reduces once.  The pi strings are built
+only when Census.classes is first read, one uint8 gather of the key bits
+per 2^14 classes.  _union_keys gives the block unions among any
+candidates the same keys, exactly at any b, for the quotient atlas and
+catalog deduplication; canonical_form stays the general oracle for
+arbitrary relations.
 """
 from __future__ import annotations
 
@@ -60,6 +62,7 @@ SUBSET_BUDGET_BITS = 30
 CHUNK_BITS = 14  # masks per numpy chunk, as bits; bounds the kernel's working memory
 KEY_BITS = 53  # block-orbit keys are sums of distinct powers of two, exact in float64
 COMPACT_ROWS = 1 << 20  # collected class rows that trigger a reduce; bounds a census's memory
+_BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 @lru_cache(maxsize=64)
@@ -136,9 +139,15 @@ def _reduce(parts: Sequence[_Columns]) -> _Columns:
     """One row per key, sorted by key: members summed, the least mask kept."""
     keys, members, least, ample = (np.concatenate(column) for column in zip(*parts))
     order = np.lexsort((least, keys))
-    first = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    ordered = keys[order]
+    # bool flags and a members sum in the columns' own type: np.diff's int64
+    # and reduceat's default int64 would be the largest temporaries of a census
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    first = np.flatnonzero(new)
     pick = order[first]
-    return _Columns(keys[pick], np.add.reduceat(members[order], first), least[pick], ample[pick])
+    members = np.add.reduceat(members[order], first, dtype=members.dtype)
+    return _Columns(keys[pick], members, least[pick], ample[pick])
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,13 +284,16 @@ class AxiomCircuit:
             return codes.reshape(-1, r + 1)
 
         plus_one, one_plus = s[:r, 0], s[0, :r]  # [z, e]: e in z + 1, e in 1 + z
+        # s[x, y, e] and s[y, x, e] are one register, so the (z, x) pair of
+        # associativity is the (x, z) pair with its sides swapped: x <= z suffices
+        xs, zs = np.triu_indices(r)
         equalities = [
             # nonempty sums: z + 1 has a member
             (np.tile(true_side, (r, 1)), side(plus_one, np.full_like(plus_one, true))),
-            # associativity: (x + 1) + z = x + (1 + z), as [x, z, e, w] term arrays
+            # associativity: (x + 1) + z = x + (1 + z), as [(x, z), e, w] term arrays
             (
-                side(plus_one[:, None, None, :], s[:, :r].transpose(1, 2, 0)[None]),
-                side(one_plus[None, :, None, :], s[:r].transpose(0, 2, 1)[:, None]),
+                side(plus_one[xs, None, :], s[:, :r].transpose(1, 2, 0)[zs]),
+                side(one_plus[zs, None, :], s[:r].transpose(0, 2, 1)[xs]),
             ),
         ]
 
@@ -500,8 +512,8 @@ def enumerate_subsets(
         ample_found += int(ample.sum())
         keys = _orbit_keys(weights, bits).astype(dtype)
         members = np.ones(len(keys), dtype=dtype)
-        collected.append(_reduce([_Columns(keys, members, masks.astype(dtype), ample)]))
-        pending += len(collected[-1].keys)
+        collected.append(_Columns(keys, members, masks.astype(dtype), ample))
+        pending += len(keys)
         if pending > max(COMPACT_ROWS, len(collected[0].keys)):
             collected, pending = [_reduce(collected)], 0
     return Census(
@@ -611,14 +623,16 @@ def verify_all_subsets(
     if bp.b > budget_bits:
         raise CapacityError(f"2^{bp.b} subsets exceeds the 2^{budget_bits} budget")
     circuit = AxiomCircuit(bp)
-    # per row: first failures of each axiom, certified, certified but failing
-    tallies = np.zeros(len(AXIOM_ORDER) + 2, dtype=np.int64)
+    # the circuit's only rows that can be nonzero (see AxiomCircuit.failures)
+    axioms = ("nonempty-sums", "associativity")
+    counted = [AXIOM_ORDER.index(name) for name in axioms]
+    # per row: first failures of each counted axiom, certified, certified but failing
+    tallies = np.zeros(len(axioms) + 2, dtype=np.int64)
     for _, words, valid, screen in _chunks(bp, None):
-        first = circuit.failures(words) & valid
-        failed = np.bitwise_or.reduce(first, axis=0)
-        rows = np.vstack([first, screen, screen & failed])
+        first = circuit.failures(words)[counted] & valid
+        rows = np.vstack([first, screen, screen & np.bitwise_or.reduce(first, axis=0)])
         # popcounts through bytes: np.bitwise_count needs numpy 2
-        tallies += np.unpackbits(rows.view(np.uint8), axis=1).sum(axis=1, dtype=np.int64)
+        tallies += _BYTE_POPCOUNT[rows.view(np.uint8)].sum(axis=1, dtype=np.int64)
     *failures, certified, certified_unverified = tallies.tolist()
     total = 1 << bp.b
     return SweepReport(
@@ -628,7 +642,7 @@ def verify_all_subsets(
         total - sum(failures),
         certified,
         certified_unverified,
-        {name: n for name, n in zip(AXIOM_ORDER, failures) if n},
+        {name: n for name, n in zip(axioms, failures) if n},
     )
 
 

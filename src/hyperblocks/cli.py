@@ -64,7 +64,7 @@ from .linear import (
     ample_solve,
     check_fetvins,
 )
-from .quotients import FiniteField, quotient_hyperfield, quotient_status
+from .quotients import FiniteField, field_quotient_data, quotient_status
 
 # -- shared plumbing -----------------------------------------------------------
 
@@ -421,9 +421,10 @@ def cmd_quotient(args, parser) -> int:
             parser.error("--q needs --r (classes of r-th powers)")
         try:
             field = FiniteField(args.q)
-            h = quotient_hyperfield(args.q, args.r)
+            group, rows, minus_one, _ = field_quotient_data(field, args.r)
         except ValueError as exc:
             parser.error(str(exc))
+        h = HyperfieldCandidate(group, minus_one, rows)
         report = verify_axioms(h)
         entry = _candidate_summary(h)
         entry.update(

@@ -69,8 +69,8 @@ class HyperfieldCandidate:
 
     def pi_bits(self) -> str:
         """Row-major 0/1 string of the pi relation, length r^2."""
-        r = self.r
-        return "".join(format(row, f"0{r}b")[::-1] for row in self.rows)
+        top = 1 << self.r  # a leading 1 keeps the row's high zeros; [:2:-1] drops it and "0b"
+        return "".join([bin(row | top)[:2:-1] for row in self.rows])
 
     @classmethod
     def from_pi_bits(

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError
-from .hyperfields import HyperfieldCandidate, is_ample
+from .hyperfields import HyperfieldCandidate, is_ample, row_ints
 
 BRUTE_BUDGET = 10_000_000
 PILE_BUDGET = 1_000_000
@@ -26,7 +26,7 @@ class SolverInvariantError(Exception):
     """The structured solver reached a state its own reasoning forbids."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearSystem:
     """Equations given as dense coefficient tuples of element indices.
 
@@ -70,6 +70,26 @@ class _SumRows(dict):
         return row
 
 
+class _SolutionSets(dict):
+    """solved[c, rest] is the set of values v with zero in c v + rest: the
+    image of rest under x -> -x/c, read from negdiv[c].  An entry is built
+    on first use, so the table holds only the pairs a solve asked for."""
+
+    def __init__(self, negdiv: list[list[int]]):
+        super().__init__()
+        self.negdiv = negdiv
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        c, rest = key
+        row, out = self.negdiv[c], 0
+        while rest:
+            low = rest & -rest
+            out |= 1 << row[low.bit_length() - 1]
+            rest ^= low
+        self[key] = out
+        return out
+
+
 class _Tables(NamedTuple):
     """What the linear layer reads of a candidate, built once per candidate."""
 
@@ -82,6 +102,7 @@ class _Tables(NamedTuple):
     # pin c v + x = 0 for v, and negdiv[c2][c1] = -c1/c2 is the factor of
     # the tie c1 x1 + c2 x2 = 0, x2 = -c1/c2 x1.
     negdiv: list[list[int]]
+    solved: _SolutionSets  # the pins' solution sets, read through negdiv
 
 
 def _tables(h: HyperfieldCandidate) -> _Tables:
@@ -92,7 +113,7 @@ def _tables(h: HyperfieldCandidate) -> _Tables:
         prod = [h.group.mul_row(c) + [zero] for c in range(zero)] + [[zero] * (zero + 1)]
         add = h.add_table()
         negdiv = [prod[prod[h.minus_one][h.group.inv(c)]] for c in range(zero)]
-        cached = _Tables(zero, prod, add, is_ample(h), _SumRows(add), negdiv)
+        cached = _Tables(zero, prod, add, is_ample(h), _SumRows(add), negdiv, _SolutionSets(negdiv))
         h._linear_tables = cached
     return cached
 
@@ -107,15 +128,6 @@ def _validate(h: HyperfieldCandidate, system: LinearSystem) -> None:
                 if c < 0:
                     raise ValueError("coefficients are element indices, must be >= 0")
                 raise ValueError(f"coefficient index {c} out of range for r={h.r}")
-
-
-def _element_sum(t: _Tables, elements) -> int:
-    """Multivalued sum of single elements, folded left from {0}."""
-    sums = t.sums
-    total = 1 << t.zero
-    for e in elements:
-        total = sums[total][e]
-    return total
 
 
 def set_sum(h: HyperfieldCandidate, masks) -> int:
@@ -183,11 +195,6 @@ def brute_force_solve(
 # -- structured solver ---------------------------------------------------------
 
 
-# a working equation: the coefficient of each root variable, and the fixed
-# elements contributed by variables assigned along the way
-_Eq = tuple[dict[int, int], list[int]]
-
-
 def _pick(mask: int, zero: int) -> int:
     """Least nonzero element of a set, falling back to zero."""
     nonzero = mask & ~(1 << zero)
@@ -196,17 +203,6 @@ def _pick(mask: int, zero: int) -> int:
     if mask & (1 << zero):
         return zero
     raise SolverInvariantError("empty solution set")
-
-
-def _solution_set(row: list[int], rest_mask: int) -> int:
-    """Values v with zero in c v + rest, given row = negdiv[c]: the image
-    of rest under x -> -x/c."""
-    out = 0
-    while rest_mask:
-        low = rest_mask & -rest_mask
-        out |= 1 << row[low.bit_length() - 1]
-        rest_mask ^= low
-    return out
 
 
 def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]:
@@ -222,103 +218,106 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
     enters), and a residue where every variable is pinned three ways is
     small enough to search outright.
 
-    Every rule is one read from the candidate's tables: a pin reads the
-    -x/c row of its coefficient, a tie reads its factor -c1/c2 from the
-    same rows.  Ties live in a flat map from each tied variable straight
-    to its root and factor; a tie relabels the entries that pointed at
-    the variable it ties.
+    A working equation is a dense coefficient row, zero where a variable
+    is absent (the input tuple until something is pinned or tied), and
+    the sum of the constants that assigned variables contributed, None
+    while there are none.  Every rule is one read from the candidate's
+    tables: a pin reads its solution set -rest/c from the solved table, a
+    tie reads its factor -c1/c2 from the -x/c rows.  Ties live in a flat
+    map from each tied variable straight to its root and factor; a tie
+    relabels the entries that pointed at the variable it ties.
     """
     t = _tables(h)
-    if not t.ample:
+    zero, prod, add, ample, sums, negdiv, solved = t
+    if not ample:
         raise ValueError("solver requires an ample hyperfield")
     n, k = system.n_vars, len(system.equations)
     if k >= n:
         raise ValueError(f"need fewer equations than variables, got {k} >= {n}")
-    zero = t.zero
     for eq in system.equations:
         if len(eq) != n or min(eq) < 0 or max(eq) > zero:
             _validate(h, system)  # raises, naming the fault
-    prod, add, negdiv = t.prod, t.add, t.negdiv
     zero_bit = 1 << zero
 
     tied: dict[int, tuple[int, int]] = {}  # var -> (root, factor): x_var = factor * x_root
     assignment: dict[int, int] = {}  # root var -> element
     settled = False  # until something is pinned or tied, every equation is normal
 
-    pending = [({v: c for v, c in enumerate(eq) if c != zero}, []) for eq in system.equations]
-    deferred = []  # (variable, its residue equations), unwound in reverse
+    pending = [(eq, None) for eq in system.equations]
+    deferred = []  # (variable, its residue rows), unwound in reverse
 
     # Every pass but the last drops an equation or settles the variables
     # of a pile, so at most n + k + 1 passes run.
-    while True:
-        kept = []
-        for terms, consts in pending:
+    while pending:
+        kept, residue = [], []  # residue: the kept rows of three terms and no constant
+        for row, rest in pending:
             if settled:
                 # normalize: variables become roots, assigned roots become
-                # constants, and duplicate roots merge through the sum of
-                # their coefficients
-                old, terms, consts = terms, {}, list(consts)
-                for var, coeff in old.items():
+                # constants, and duplicate roots merge, in variable order,
+                # through the sum of their coefficients
+                old, row = row, [zero] * n
+                for var, coeff in enumerate(old):
+                    if coeff == zero:
+                        continue
                     if var in tied:
                         var, factor = tied[var]
                         coeff = prod[coeff][factor]
                     if var in assignment:
                         e = prod[coeff][assignment[var]]
                         if e != zero:
-                            consts.append(e)
-                    elif var not in terms:
-                        terms[var] = coeff
+                            rest = sums[zero_bit if rest is None else rest][e]
+                    elif row[var] == zero:
+                        row[var] = coeff
                     else:
-                        merged = add[terms[var]][coeff]
-                        if merged & zero_bit:
-                            del terms[var]  # cancellation is available, take it
-                        else:
-                            terms[var] = (merged & -merged).bit_length() - 1
-            if len(terms) == 2 and consts:
+                        merged = add[row[var]][coeff]
+                        # cancellation is available, take it
+                        row[var] = zero if merged & zero_bit else (merged & -merged).bit_length() - 1
+            weight = n - row.count(zero)
+            if weight > 2:
+                kept.append((row, rest))
+                if weight == 3 and rest is None:
+                    residue.append(row)
+                continue
+            terms = [var for var, coeff in enumerate(row) if coeff != zero]
+            if len(terms) == 2 and rest is not None:
                 # anchor the lower variable at 1, which leaves a pin of the other
-                var = min(terms)
+                var = terms.pop(0)
                 assignment[var] = 0
-                consts.append(terms.pop(var))
+                rest = sums[rest][row[var]]
             if not terms:
-                if consts and not _element_sum(t, consts) & zero_bit:
+                if rest is not None and not rest & zero_bit:
                     raise SolverInvariantError("constant equation misses zero")
             elif len(terms) == 1:
-                (var, coeff), = terms.items()
-                rest = _element_sum(t, consts) if consts else zero_bit
-                assignment[var] = _pick(_solution_set(negdiv[coeff], rest), zero)
+                var = terms[0]
+                assignment[var] = _pick(solved[row[var], zero_bit if rest is None else rest], zero)
                 settled = True
-            elif len(terms) == 2 and not consts:
-                (v1, c1), (v2, c2) = terms.items()
-                if v1 > v2:
-                    v1, c1, v2, c2 = v2, c2, v1, c1
+            else:
+                v1, v2 = terms
                 # zero in c1 x1 + c2 x2 exactly when x2 = -c1/c2 * x1
-                factor = negdiv[c2][c1]
+                factor = negdiv[row[v2]][row[v1]]
                 for var, (root, f) in tied.items():
                     if root == v2:
                         tied[var] = (v1, prod[f][factor])
                 tied[v2] = (v1, factor)
                 settled = True
-            else:
-                kept.append((terms, consts))
         dropped = len(kept) < len(pending)
         pending = kept
-        if dropped and pending:
+        if dropped:
             continue
 
         # only equations of weight >= 3 remain, each normalized in this pass
-        residue = [eq for eq in pending if len(eq[0]) == 3 and not eq[1]]
         if not residue:
             break
-        occurrences: dict[int, int] = {}
-        for terms, _ in residue:
-            for v in terms:
-                occurrences[v] = occurrences.get(v, 0) + 1
-        light = [v for v, cnt in occurrences.items() if cnt <= 2]
-        if light:
-            var = min(light)
-            mine = [eq for eq in residue if var in eq[0]]
-            deferred.append((var, mine))
-            pending = [eq for eq in pending if not any(eq is m for m in mine)]
+        occurrences = [len(residue) - column.count(zero) for column in zip(*residue)]
+        for var, count in enumerate(occurrences):
+            if 0 < count <= 2:
+                deferred.append((var, [row for row in residue if row[var] != zero]))
+                pending = [
+                    (row, rest)
+                    for row, rest in pending
+                    if rest is not None or row[var] == zero or row.count(zero) != n - 3
+                ]
+                break
         else:
             # the pile's equations turn constant and drop in the next pass
             _solve_pile(t, residue, assignment)
@@ -330,24 +329,24 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
         if var not in tied and var not in assignment:
             assignment[var] = 0
 
-    for var, eqs in reversed(deferred):
+    for var, rows in reversed(deferred):
         mask = (zero_bit << 1) - 1  # every element
-        for terms, _ in eqs:
-            rest = _element_sum(t, (prod[c][assignment[v]] for v, c in terms.items() if v != var))
-            mask &= _solution_set(negdiv[terms[var]], rest)
+        for row in rows:
+            rest = zero_bit
+            for v, c in enumerate(row):
+                if c != zero and v != var:
+                    rest = sums[rest][prod[c][assignment[v]]]
+            mask &= solved[row[var], rest]
         if not mask:
             raise SolverInvariantError("deferred variable has no consistent value")
         assignment[var] = _pick(mask, zero)
 
-    result = []
-    for var in range(n):
-        root, factor = tied.get(var, (var, 0))
-        result.append(prod[factor][assignment[root]])
-    solution = tuple(result)
+    for var, (root, factor) in tied.items():
+        assignment[var] = prod[factor][assignment[root]]
+    solution = tuple([assignment[var] for var in range(n)])
     # the solver's correctness gate: nontrivial, and zero in every
     # equation's sum; the system was validated on entry
     valid = solution.count(zero) < n
-    sums = t.sums
     for eq in system.equations:
         total = zero_bit
         for c, x in zip(eq, solution):
@@ -358,21 +357,26 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
     return solution
 
 
-def _solve_pile(t: _Tables, pile: list[_Eq], assignment: dict[int, int]) -> None:
+def _solve_pile(t: _Tables, pile: list, assignment: dict[int, int]) -> None:
     """Exhaust a residue where every variable meets three or more
     equations; nonzero values are tried first, the all-zero assignment is
     the final resort and always works."""
-    pile_vars = sorted({v for terms, _ in pile for v in terms})
-    total = (t.zero + 1) ** len(pile_vars)
+    zero, prod, sums = t.zero, t.prod, t.sums
+    terms = [[(v, c) for v, c in enumerate(row) if c != zero] for row in pile]
+    pile_vars = sorted({v for row_terms in terms for v, _ in row_terms})
+    total = (zero + 1) ** len(pile_vars)
     if total > PILE_BUDGET:
         raise CapacityError(f"pile of {len(pile_vars)} variables exceeds the search budget")
-    prod, zero_bit = t.prod, 1 << t.zero
-    for values in product(range(t.zero + 1), repeat=len(pile_vars)):  # zero, index r, comes last
+    zero_bit = 1 << zero
+    for values in product(range(zero + 1), repeat=len(pile_vars)):  # zero, index r, comes last
         trial = dict(zip(pile_vars, values))
-        if all(
-            _element_sum(t, (prod[c][trial[v]] for v, c in terms.items())) & zero_bit
-            for terms, _ in pile
-        ):
+        for row_terms in terms:
+            term_sum = zero_bit
+            for v, c in row_terms:
+                term_sum = sums[term_sum][prod[c][trial[v]]]
+            if not term_sum & zero_bit:
+                break
+        else:
             assignment.update(trial)
             return
     raise SolverInvariantError("pile admits no assignment, not even zero")
@@ -383,13 +387,14 @@ def _solve_pile(t: _Tables, pile: list[_Eq], assignment: dict[int, int]) -> None
 
 def normalized_equations(h: HyperfieldCandidate, n: int) -> list[tuple[int, ...]]:
     """All coefficient tuples whose first nonzero coefficient is the
-    identity; scaling makes every equation equivalent to one of these."""
-    out = []
-    for coeffs in product(range(h.r + 1), repeat=n):
-        lead = next((c for c in coeffs if c != h.zero), None)
-        if lead == 0:
-            out.append(coeffs)
-    return out
+    identity, in the order of product(range(r + 1), repeat=n) (zero, index
+    r, last); scaling makes every equation equivalent to one of these."""
+    zero = h.zero
+    return [
+        (zero,) * j + (0,) + rest
+        for j in range(n)
+        for rest in product(range(zero + 1), repeat=n - 1 - j)
+    ]
 
 
 def iter_normalized_systems(h: HyperfieldCandidate, n_max: int):
@@ -430,9 +435,10 @@ def check_fetvins(
     table.  A system is solvable exactly when the intersection of its
     equations' bitsets contains more than the all-zero assignment.  The
     budget bounds assignments times equations and is checked before the
-    equations are listed or any table is built.  No array holds more than
-    (r+1)^(n+1) entries: the add table as bits has (r+1)^3, every other
-    array at most (r+1)^n.
+    equations are listed or any table is built, and it bounds the one
+    array that holds more than (r+1)^(n+1) entries: every equation's
+    bits, gathered at once by broadcasting each variable's column of term
+    elements along its own axis.
     """
     r = h.r
     checked = 0
@@ -456,10 +462,13 @@ def check_fetvins(
         else:
             sums = (sums @ add_bits.reshape(r + 1, -1)).reshape(-1, r + 1)
         zero_sum = (sums @ add_bits[:, :, t.zero]).reshape((r + 1,) * n)
-        sat = []
-        for eq in eqs:
-            bits = zero_sum[np.ix_(*terms[list(eq)])].ravel()
-            sat.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
+        # bits[j, a_1, ..., a_n]: whether equation j holds at the assignment (a_1, ..., a_n)
+        coeffs = np.array(eqs)
+        index = tuple(
+            terms[coeffs[:, i]].reshape((-1,) + (1,) * i + (r + 1,) + (1,) * (n - 1 - i))
+            for i in range(n)
+        )
+        sat = row_ints(zero_sum[index].reshape(len(eqs), -1))
         trivial_bit = 1  # assignment 0 is all-zero
         for k in range(1, n):
             for combo in combinations_with_replacement(range(len(eqs)), k):

@@ -237,12 +237,17 @@ class FiniteField:
 @lru_cache(maxsize=4096)  # more fields than any atlas at the default bound holds
 def _quotient_data(q: int, r: int) -> tuple[AbelianGroup, tuple[int, ...], int, int]:
     """(group, pi rows, -1, packed subgroup generator) of GF(q) modulo its
-    r-th powers.
+    r-th powers."""
+    return field_quotient_data(FiniteField(q), r)
+
+
+def field_quotient_data(field: FiniteField, r: int) -> tuple[AbelianGroup, tuple[int, ...], int, int]:
+    """_quotient_data of a field already built, for callers that also read the field.
 
     The class of a nonzero w is its discrete log modulo r; the addition
     row of a class collects the classes of w + 1 as w runs over the coset.
     """
-    field = FiniteField(q)
+    q = field.q
     if r < 1 or (q - 1) % r:
         raise ValueError(f"need r dividing q - 1, got r={r}, q={q}")
     p, log = field.p, field.log

@@ -14,9 +14,11 @@ from hyperblocks import (
     census,
     compute_blocks,
     linear,
+    quotients,
     verify_axioms,
 )
 from hyperblocks.cli import build_parser, main
+from hyperblocks.quotients import FiniteField
 
 
 def run(capsys, *argv):
@@ -445,6 +447,16 @@ def test_quotient_build_json(capsys):
     assert d["q"] == 16
     assert d["modulus"] == "x^4 + x + 1"
     assert d["ok"] is True
+
+
+def test_quotient_build_mode_builds_the_field_once(capsys, monkeypatch):
+    quotients._quotient_data.cache_clear()
+    built = []
+    init = FiniteField.__init__
+    monkeypatch.setattr(FiniteField, "__init__", lambda self, q: built.append(q) or init(self, q))
+    assert main(["quotient", "--q", "16", "--r", "3"]) == 0
+    assert built == [16]
+    assert "modulus: x^4 + x + 1" in capsys.readouterr().out
 
 
 def test_quotient_status_mode(capsys):

@@ -81,6 +81,18 @@ def test_pi_bits_round_trip(z3, z3_named):
         assert hash(again) == hash(h)
 
 
+def test_pi_bits_matches_the_formatted_rows_and_round_trips():
+    rng = random.Random(2507)
+    for r in range(1, 71):
+        group = AbelianGroup.from_spec(f"Z{r}")
+        for _ in range(3):
+            rows = tuple(rng.getrandbits(r) for _ in range(r))
+            h = HyperfieldCandidate(group, 0, rows)
+            bits = h.pi_bits()
+            assert bits == "".join(format(row, f"0{r}b")[::-1] for row in rows)
+            assert HyperfieldCandidate.from_pi_bits(group, 0, bits).rows == rows
+
+
 def test_equality_ignores_status(z3, z3_named):
     h = z3_named["BCD"]
     again = HyperfieldCandidate.from_pi_bits(z3, 0, h.pi_bits())

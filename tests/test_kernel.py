@@ -85,13 +85,16 @@ def test_kernel_matches_scalar_on_drawn_block_unions(spec, m1, data):
 def test_identities_compile_away():
     # both block moves fix block_index, so commutativity and reversibility hold
     # on every union of blocks and the circuit leaves them out, as it does
-    # distributivity and unique negatives, which hold for every relation
+    # distributivity and unique negatives, which hold for every relation.
+    # Blocks are closed under (a, b) -> (a^-1, a^-1 b) too, so s[x, y, e] and
+    # s[y, x, e] are one register and associativity is compiled for x <= z only
     for spec, m1 in partitions(1, 16):
         g = AbelianGroup.from_spec(spec)
         bp = compute_blocks(g, m1)
         for x in range(bp.r):
             for y in range(bp.r):
-                for q in consistency_step(g, (x, y)), reversal_negation_step(g, m1, (x, y)):
+                swapped = (g.inv(x), g.mul(g.inv(x), y))
+                for q in consistency_step(g, (x, y)), reversal_negation_step(g, m1, (x, y)), swapped:
                     assert bp.block_of(*q) == bp.block_of(x, y), (spec, m1, (x, y), q)
 
 

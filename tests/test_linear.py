@@ -472,6 +472,18 @@ def test_check_fetvins_budget_refuses_before_building_anything(monkeypatch, z3_n
     assert time.perf_counter() - start < 1.0
 
 
+def test_normalized_equations_match_the_filtered_product():
+    for r in range(1, 8):
+        h = HyperfieldCandidate(AbelianGroup.from_spec(f"Z{r}"), 0, (0,) * r)
+        for n in range(1, 5):
+            filtered = [
+                coeffs
+                for coeffs in itertools.product(range(r + 1), repeat=n)
+                if next((c for c in coeffs if c != h.zero), None) == 0
+            ]
+            assert normalized_equations(h, n) == filtered
+
+
 def test_normalized_system_counts(z3_named):
     assert sum(1 for _ in iter_normalized_systems(krasner(), 3)) == 38
     assert sum(1 for _ in iter_normalized_systems(z3_named["BC"], 3)) == 257

@@ -175,12 +175,20 @@ def row_ints(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
+def bit_rows(values: Sequence[int], width: int) -> np.ndarray:
+    """Each int below 2^width as a row of width 0/1 uint8 columns, bit j in
+    column j: the inverse of row_ints."""
+    size = -(-width // 8)
+    data = b"".join([v.to_bytes(size, "little") for v in values])
+    octets = np.frombuffer(data, dtype=np.uint8).reshape(len(values), size)
+    return np.unpackbits(octets, axis=1, count=width, bitorder="little")
+
+
 def build_candidate(bp: BlockPartition, chosen_blocks: int) -> HyperfieldCandidate:
     """Candidate whose pi is the union of the blocks in the given bitmask."""
     if chosen_blocks < 0 or chosen_blocks >> bp.b:
         raise ValueError(f"block mask {chosen_blocks:#x} out of range for b={bp.b}")
-    octets = np.frombuffer(chosen_blocks.to_bytes(-(-bp.b // 8), "little"), dtype=np.uint8)
-    chosen = np.unpackbits(octets, count=bp.b, bitorder="little")
+    chosen = bit_rows([chosen_blocks], bp.b)[0]
     return HyperfieldCandidate(bp.group, bp.minus_one, tuple(row_ints(chosen[bp.block_index])))
 
 
@@ -189,8 +197,7 @@ def union_block_bits(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(is a union, block bits) of each candidate on bp, as a bool column and 0/1 rows:
     the blocks its pi meets, whose union is pi exactly when pi is a union of blocks."""
-    text = "".join(h.pi_bits() for h in candidates).encode("ascii")
-    pi = (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(-1, bp.r * bp.r)
+    pi = bit_rows([row for h in candidates for row in h.rows], bp.r).reshape(-1, bp.r * bp.r)
     block_of = bp.block_index.ravel()
     bits = np.zeros((len(pi), bp.b), dtype=np.uint8)
     at, code = np.nonzero(pi)

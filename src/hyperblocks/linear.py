@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError
-from .hyperfields import HyperfieldCandidate, is_ample, row_ints
+from .hyperfields import HyperfieldCandidate, bit_rows, is_ample, row_ints
 
 BRUTE_BUDGET = 10_000_000
 PILE_BUDGET = 1_000_000
@@ -453,9 +453,8 @@ def check_fetvins(
         if sums is None:
             t = _tables(h)
             # add_bits[e, x, f]: whether f lies in e + x
-            add_bits = np.array(
-                [[[m >> f & 1 for f in range(r + 1)] for m in row] for row in t.add], dtype=bool
-            )
+            flat = [m for row in t.add for m in row]
+            add_bits = bit_rows(flat, r + 1).reshape((r + 1,) * 3).astype(bool)
             # assignment digits run zero first, so assignment 0 is the all-zero one
             terms = np.array(t.prod)[:, [t.zero] + list(range(r))]
             sums = add_bits[t.zero]  # 0 + t_1

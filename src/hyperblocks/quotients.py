@@ -18,14 +18,13 @@ from .blocks import _shared_blocks
 from .census import _union_keys
 from .errors import CapacityError
 from .groups import AbelianGroup, _prime_factors
-from .hyperfields import HyperfieldCandidate
+from .hyperfields import HyperfieldCandidate, row_ints
 
 QUOTIENT = "quotient"
 NONQUOTIENT = "nonquotient"
 UNKNOWN = "unknown"
 
 Q_BOUND_CAP = 100_000
-_GENERATOR_BATCH = 64  # extension-field generator candidates tested at once
 
 
 def _is_prime_power(q: int) -> tuple[int, int] | None:
@@ -92,6 +91,8 @@ class FiniteField:
         return self._pack(self._poly_rem(prod, list(self.modulus)))
 
     def power(self, a: int, n: int) -> int:
+        if self.k == 1:
+            return pow(a, n, self.p)
         result, base = 1, a
         while n:
             if n & 1:
@@ -175,22 +176,15 @@ class FiniteField:
     def _build_log_tables(self) -> None:
         """The least packed primitive element >= 2, and exp / log arrays
         built from it by doubling: exp[L:2L] = times(g^L)[exp[:L]]."""
-        q, p = self.q, self.p
+        q = self.q
         n = q - 1
         cofactors = [n // ell for ell in _prime_factors(n)] if n > 1 else []
-        zeta = 1
-        if self.k == 1:
-            zeta = next((z for z in range(2, q) if all(pow(z, e, p) != 1 for e in cofactors)), 1)
-        else:
-            # the prime subfield's elements have order dividing p - 1 < n;
-            # candidates go in batches, all cofactor powers at once
-            for start in range(p, q, _GENERATOR_BATCH):
-                z = np.arange(start, min(start + _GENERATOR_BATCH, q))
-                primitive = np.all(self._powers(z, cofactors) != 1, axis=1)
-                if primitive.any():
-                    zeta = int(z[np.argmax(primitive)])
-                    break
-        self.generator = zeta
+        # z is primitive when no z^(n/l) is 1; the prime subfield's
+        # elements have order dividing p - 1 < n, so extensions start at p
+        start = self.p if self.k > 1 else 2
+        self.generator = zeta = next(
+            (z for z in range(start, q) if all(self.power(z, e) != 1 for e in cofactors)), 1
+        )
         exp = np.ones(n, dtype=np.int64)
         length, step = 1, zeta  # step = g^length
         while length < n:
@@ -202,18 +196,6 @@ class FiniteField:
         log[exp] = np.arange(n)
         exp.flags.writeable = log.flags.writeable = False
         self.exp, self.log = exp, log
-
-    def _powers(self, z: np.ndarray, exponents: list[int]) -> np.ndarray:
-        """z[i] ** exponents[j] as a len(z) x len(exponents) array, by
-        square-and-multiply over all of them at once."""
-        e = np.array(exponents, dtype=np.int64)
-        out = np.ones((len(z), len(e)), dtype=np.int64)
-        base = z[:, None]
-        while e.any():
-            out = np.where(e & 1, self._times(base, out), out)
-            base = self._times(base, base)
-            e >>= 1
-        return out
 
     def minus_one(self) -> int:
         return self.p - 1
@@ -256,10 +238,7 @@ def field_quotient_data(field: FiniteField, r: int) -> tuple[AbelianGroup, tuple
     nonzero = s != 0
     grid = np.zeros((r, r), dtype=bool)
     grid[log[w[nonzero]] % r, log[s[nonzero]] % r] = True
-    rows = tuple(
-        int.from_bytes(row.tobytes(), "little")
-        for row in np.packbits(grid, axis=1, bitorder="little")
-    )
+    rows = tuple(row_ints(grid))
     minus_one = int(log[field.minus_one()]) % r
     group = AbelianGroup([r] if r > 1 else [])
     return group, rows, minus_one, int(field.exp[r % (q - 1)])
@@ -284,8 +263,11 @@ def _quotient_atlas(r: int, q_bound: int) -> dict[tuple[int, int], int]:
 
     Every quotient is a hyperfield, so its pi is a union of blocks of its
     (Z_r, -1) partition; RuntimeError if one is not, since the lookup in
-    find_finite_quotient would then miss it.
+    find_finite_quotient would then miss it.  A bound above Q_BOUND_CAP
+    raises CapacityError before any field is built.
     """
+    if q_bound > Q_BOUND_CAP:
+        raise CapacityError(f"scan bound {q_bound} exceeds the field size cap {Q_BOUND_CAP}")
     by_minus_one: dict[int, list[tuple[int, HyperfieldCandidate]]] = {}
     for q in range(r + 1, q_bound + 1, r):
         if _is_prime_power(q) is not None:

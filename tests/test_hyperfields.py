@@ -8,8 +8,12 @@ over every triple, zeros included, so the two must agree everywhere.
 
 import itertools
 import random
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperblocks import (
     AbelianGroup,
@@ -29,6 +33,7 @@ from hyperblocks import (
     sign_hyperfield,
     verify_axioms,
 )
+from hyperblocks.hyperfields import bit_rows, row_ints, union_block_bits
 from conftest import from_labels
 
 
@@ -184,6 +189,85 @@ def test_block_subset_of(z3_blocks, z3_named):
     h = HyperfieldCandidate.from_pi_bits(z3_blocks.group, 0, "110111111")
     with pytest.raises(ValueError):
         block_subset_of(h, z3_blocks)
+
+
+# -- the pi bit layout ------------------------------------------------------------
+
+
+def _ints_of_width(width):
+    return st.tuples(st.just(width), st.lists(st.integers(0, (1 << width) - 1), max_size=6))
+
+
+def _bit_arrays_of_width(width):
+    """1 to 6 rows of width 0/1 bits, the low bit of each drawn byte."""
+    return st.integers(1, 6).flatmap(
+        lambda n: st.binary(min_size=n * width, max_size=n * width).map(
+            lambda data: np.frombuffer(data, dtype=np.uint8).reshape(n, width) & 1
+        )
+    )
+
+
+@given(st.integers(1, 130).flatmap(_ints_of_width))
+def test_bit_rows_inverts_row_ints_on_ints(case):
+    width, values = case
+    bits = bit_rows(values, width)
+    assert bits.shape == (len(values), width) and bits.dtype == np.uint8
+    assert bits.tolist() == [[v >> j & 1 for j in range(width)] for v in values]
+    assert row_ints(bits) == values
+
+
+@given(st.integers(1, 130).flatmap(_bit_arrays_of_width))
+def test_row_ints_inverts_bit_rows_on_arrays(bits):
+    assert np.array_equal(bit_rows(row_ints(bits), bits.shape[1]), bits)
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 64, 65, 130])
+def test_bit_rows_of_no_values(width):
+    assert bit_rows([], width).shape == (0, width)
+    assert row_ints(bit_rows([], width)) == []
+
+
+@lru_cache(maxsize=None)
+def _partition(spec, minus_one):
+    return compute_blocks(AbelianGroup.from_spec(spec), minus_one)
+
+
+def union_block_bits_by_pairs(bp, h):
+    """(is a union, mask of the blocks pi meets), one pair at a time."""
+    pairs = [(x, y, int(bp.block_index[x, y])) for x in range(bp.r) for y in range(bp.r)]
+    met = 0
+    for x, y, i in pairs:
+        if h.rows[x] >> y & 1:
+            met |= 1 << i
+    return all((h.rows[x] >> y & 1) == (met >> i & 1) for x, y, i in pairs), met
+
+
+def _drawn_relations(case):
+    """(case, [(block mask, pi bit codes to flip)]) on one partition."""
+    bp = _partition(*case)
+    draw = st.tuples(
+        st.integers(0, (1 << bp.b) - 1), st.lists(st.integers(0, bp.r**2 - 1), max_size=3)
+    )
+    return st.tuples(st.just(case), st.lists(draw, max_size=5))
+
+
+@given(st.sampled_from([("Z7", 0), ("Z2xZ4", 2), ("Z9", 0), ("Z20", 0)]).flatmap(_drawn_relations))
+def test_union_block_bits_matches_a_per_pair_loop(drawn):
+    """Drawn unions of blocks, and the same with a few pi bits flipped, which
+    are mostly not unions; Z20 (-1 = 0) has 77 blocks, past one uint64 word."""
+    (spec, minus_one), draws = drawn
+    bp = _partition(spec, minus_one)
+    candidates = []
+    for mask, flips in draws:
+        rows = list(build_candidate(bp, mask).rows)
+        for code in flips:
+            rows[code // bp.r] ^= 1 << code % bp.r
+        candidates.append(HyperfieldCandidate(bp.group, minus_one, tuple(rows)))
+    union, bits = union_block_bits(bp, candidates)
+    assert union.shape == (len(candidates),) and bits.shape == (len(candidates), bp.b)
+    expected = [union_block_bits_by_pairs(bp, h) for h in candidates]
+    assert union.tolist() == [u for u, _ in expected]
+    assert row_ints(bits) == [met for _, met in expected]
 
 
 # -- full-triple oracle ---------------------------------------------------------

@@ -35,6 +35,7 @@ from hyperblocks import (
     verify_axioms,
 )
 from hyperblocks import census, quotients
+from hyperblocks.cli import main
 from hyperblocks.groups import _prime_factors
 from hyperblocks.quotients import default_q_bound, subgroup_generator
 from conftest import from_labels
@@ -139,6 +140,18 @@ def test_field_tables_match_the_scalar_arithmetic():
             assert got == tuple(rows), (q, r)
             assert minus_one == log[f.minus_one()] % r, (q, r)
             assert gen == f.power(g, r), (q, r)
+
+
+@pytest.mark.parametrize("q, generator", [(59049, 34), (78125, 9), (83521, 307)])
+def test_generator_is_the_least_primitive_element_past_q_2000(q, generator):
+    """The scalar search on extension fields of 3^10, 5^7 and 17^4 elements,
+    checked against the log table: w is primitive exactly when log[w] is
+    prime to q - 1."""
+    f = FiniteField(q)
+    log = f.log.tolist()
+    assert f.generator == generator
+    assert log[generator] == 1
+    assert all(math.gcd(log[w], q - 1) > 1 for w in range(2, generator))
 
 
 # -- quotient construction ----------------------------------------------------------
@@ -304,6 +317,20 @@ def test_quotient_scan_builds_each_field_once(monkeypatch, z3_named):
     assert h.status == STATUS_VERIFIED and again.status == STATUS_UNVERIFIED
     gf13 = field(13)
     assert subgroup_generator(13, 3) == gf13.power(gf13.generator, 3) == 8
+
+
+def test_scan_bound_above_the_cap_builds_no_field(monkeypatch, capsys, z3_named):
+    quotients._quotient_data.cache_clear()
+    built = []
+    field = quotients.FiniteField
+    monkeypatch.setattr(quotients, "FiniteField", lambda q: built.append(q) or field(q))
+    with pytest.raises(CapacityError):
+        quotient_status(z3_named["BD"], q_bound=quotients.Q_BOUND_CAP + 1)
+    assert built == []
+    argv = ["quotient", "--group", "Z3", "--minus-one", "0", "--blocks", "BD", "--bound", "200000"]
+    assert main(argv) == 3
+    assert "capacity" in capsys.readouterr().err.lower()
+    assert built == []
 
 
 def test_quotient_status_makes_no_canonical_form_calls(monkeypatch, z3_blocks):

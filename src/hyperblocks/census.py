@@ -14,6 +14,7 @@ verify_all_subsets) runs one compiled, bit-sliced axiom circuit on the
 same words (AxiomCircuit): on a union of blocks only nonempty sums and
 associativity can fail, so it compiles just those, as pairs of sides
 that must be equal; verify_axioms is left to single candidates.
+verify_all_subsets sweeps each Aut(G)-orbit of -1 once per process.
 Tallies are popcounts of words; only the kept positions of a chunk are
 unpacked into masks and block bits.
 
@@ -37,7 +38,7 @@ arbitrary relations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
@@ -611,17 +612,8 @@ class SweepReport:
         return self.failure_counts.get("reversibility", 0)
 
 
-def verify_all_subsets(
-    bp: BlockPartition, budget_bits: int = SUBSET_BUDGET_BITS
-) -> SweepReport:
-    """Tally the axiom verdicts of all 2^b block subsets through the axiom kernel.
-
-    Matches verify_axioms exactly: same checks, same first-failure order,
-    reversibility last.  Only the verdict tallies are kept, which makes
-    sweeps feasible at sizes where building one candidate at a time is not.
-    """
-    if bp.b > budget_bits:
-        raise CapacityError(f"2^{bp.b} subsets exceeds the 2^{budget_bits} budget")
+def _sweep_tallies(bp: BlockPartition) -> SweepReport:
+    """verify_all_subsets' sweep of one partition, with no budget check and no cache."""
     circuit = AxiomCircuit(bp)
     # the circuit's only rows that can be nonzero (see AxiomCircuit.failures)
     axioms = ("nonempty-sums", "associativity")
@@ -646,10 +638,49 @@ def verify_all_subsets(
     )
 
 
+@lru_cache(maxsize=64)
+def _orbit_sweep(group: AbelianGroup, least_minus_one: int) -> list[SweepReport]:
+    """A one-slot holder for the sweep of one Aut(G)-orbit of -1, filled by its first caller."""
+    return []
+
+
+def verify_all_subsets(
+    bp: BlockPartition, budget_bits: int = SUBSET_BUDGET_BITS
+) -> SweepReport:
+    """Tally the axiom verdicts of all 2^b block subsets through the axiom kernel.
+
+    Matches verify_axioms exactly: same checks, same first-failure order,
+    reversibility last.  Only the verdict tallies are kept, which makes
+    sweeps feasible at sizes where building one candidate at a time is not.
+    An automorphism of the group moving -1 to -1' carries the blocks and
+    axioms of one partition onto the other's, so both have the same
+    tallies: each Aut(G)-orbit of -1 (AbelianGroup.minus_one_orbits) is
+    swept once per process, and every call returns its own report.
+    """
+    if bp.b > budget_bits:
+        raise CapacityError(f"2^{bp.b} subsets exceeds the 2^{budget_bits} budget")
+    least = next(o[0] for o in bp.group.minus_one_orbits() if bp.minus_one in o)
+    held = _orbit_sweep(bp.group, least)
+    if not held:
+        held.append(_sweep_tallies(bp))
+    return replace(
+        held[0],
+        group=bp.group,
+        minus_one=bp.minus_one,
+        failure_counts=dict(held[0].failure_counts),
+    )
+
+
 def census_all_minus_ones(
     group: AbelianGroup, mode: str = MODE_FULL, budget_bits: int = SUBSET_BUDGET_BITS
 ) -> list[Census]:
-    """One census per legal -1 choice; classes are never merged across -1 values."""
+    """One census per legal -1 choice; classes are never merged across -1 values.
+
+    Choices of -1 in one Aut(G)-orbit (AbelianGroup.minus_one_orbits) give
+    isomorphic relabelings of one census, equal in every count, so totals
+    per order take one -1 from each orbit.  The output stays one census
+    per -1; moving classes across an orbit would need the automorphism.
+    """
     return [
         enumerate_subsets(compute_blocks(group, m1), mode, budget_bits)
         for m1 in group.involution_candidates()

@@ -109,7 +109,8 @@ def _minus_one(args, parser, group: AbelianGroup) -> int:
             return candidates[0]
         parser.error(
             f"--minus-one is ambiguous for {group.spec_string()}; "
-            f"candidates: {', '.join(map(str, candidates))}"
+            f"candidates: {', '.join(map(str, candidates))}; up to automorphism: "
+            + " | ".join(", ".join(map(str, o)) for o in group.minus_one_orbits())
         )
     if args.minus_one not in candidates:
         parser.error(

@@ -169,6 +169,35 @@ class AbelianGroup:
         """Elements of multiplicative order <= 2 (legal values of -1), identity first."""
         return [g for g in range(self.order) if self.mul(g, g) == 0]
 
+    def minus_one_orbits(self) -> list[tuple[int, ...]]:
+        """The involution candidates grouped into Aut(G)-orbits, each sorted, by least member.
+
+        The identity is an orbit of its own; any other candidate x goes by
+        its 2-height h(x) = max{k : x in 2^k G}, found by squaring the
+        element set until it stops shrinking.  No automorphism is
+        enumerated.  Automorphisms keep heights, so different heights are
+        different orbits.  Conversely, take y with 2^h y = x, h = h(x): y
+        has order 2^(h+1) and its element of order 2 has height h, so <y>
+        is a pure cyclic subgroup, hence a direct summand, G = <y> + C
+        (Kaplansky, Infinite Abelian Groups, 1954).  By the cancellation
+        law for finite abelian groups, C is fixed up to isomorphism by G
+        and h, so for x' of the same height, with G = <y'> + C', an
+        automorphism maps y onto y' and C onto C', and with them x onto x'.
+        """
+        heights = dict.fromkeys(self.involution_candidates()[1:], 0)
+        level = set(self.elements())
+        while True:
+            squares = {self.mul(g, g) for g in level}
+            if squares == level:
+                break
+            level = squares
+            for x in heights:
+                heights[x] += x in level
+        orbits: dict[int, list[int]] = {}
+        for x, h in heights.items():
+            orbits.setdefault(h, []).append(x)
+        return [(0,)] + sorted(map(tuple, orbits.values()))
+
     # -- automorphisms -------------------------------------------------------
 
     def automorphism_count(self) -> int:

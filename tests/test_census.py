@@ -288,25 +288,51 @@ def test_batch_sweep_z7_tallies(z7_blocks):
 
 def test_batch_sweep_tallies_match_the_golden_file():
     # tests/data/sweep_tallies.json: the tallies of every partition of order
-    # <= 9, written by the sweep that unpacked each mask into bytes
+    # <= 9, written by the sweep that unpacked each mask into bytes.  Each
+    # partition goes through the kernel itself too, not only one per orbit of -1
     rows = json.loads((Path(__file__).parent / "data" / "sweep_tallies.json").read_text())
     assert [(row["group"], row["minus_one"]) for row in rows] == [
         (g.spec_string(), m1) for g in abelian_groups_up_to(9) for m1 in g.involution_candidates()
     ]
     for row in rows:
-        sweep = verify_all_subsets(compute_blocks(AbelianGroup.from_spec(row["group"]), row["minus_one"]))
-        assert {
-            "group": sweep.group.spec_string(),
-            "minus_one": sweep.minus_one,
-            "subsets_examined": sweep.subsets_examined,
-            "verified_count": sweep.verified_count,
-            "certified_count": sweep.certified_count,
-            "certified_unverified": sweep.certified_unverified,
-            "failure_counts": sweep.failure_counts,
-        } == row
+        bp = compute_blocks(AbelianGroup.from_spec(row["group"]), row["minus_one"])
+        for sweep in verify_all_subsets(bp), census._sweep_tallies(bp):
+            assert {
+                "group": sweep.group.spec_string(),
+                "minus_one": sweep.minus_one,
+                "subsets_examined": sweep.subsets_examined,
+                "verified_count": sweep.verified_count,
+                "certified_count": sweep.certified_count,
+                "certified_unverified": sweep.certified_unverified,
+                "failure_counts": sweep.failure_counts,
+            } == row
+
+
+def test_one_circuit_per_orbit_of_minus_one(monkeypatch):
+    built = []
+
+    class Counted(census.AxiomCircuit):
+        def __init__(self, bp):
+            built.append((bp.group.spec_string(), bp.minus_one))
+            super().__init__(bp)
+
+    monkeypatch.setattr(census, "AxiomCircuit", Counted)
+    census._orbit_sweep.cache_clear()
+    g = AbelianGroup.from_spec("Z2xZ2xZ2")
+    first, second = (verify_all_subsets(compute_blocks(g, m1)) for m1 in (1, 7))
+    assert built == [("Z2xZ2xZ2", 1)]
+    assert (first.minus_one, second.minus_one) == (1, 7)
+    assert first.failure_counts == second.failure_counts
+    assert first.failure_counts is not second.failure_counts
+    again = verify_all_subsets(compute_blocks(g, 1))
+    assert again == first and again.failure_counts is not first.failure_counts
+    # -1 = 0 is an orbit of its own
+    verify_all_subsets(compute_blocks(g, 0))
+    assert built == [("Z2xZ2xZ2", 1), ("Z2xZ2xZ2", 0)]
 
 
 def test_batch_sweep_budget_and_order_caps(z7_blocks):
+    verify_all_subsets(z7_blocks)  # cached: the budget is still checked first
     with pytest.raises(CapacityError):
         verify_all_subsets(z7_blocks, budget_bits=5)
     big = compute_blocks(AbelianGroup.from_spec("Z16"), 0)

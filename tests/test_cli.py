@@ -64,6 +64,14 @@ def test_blocks_ambiguous_minus_one(capsys):
     assert exc.value.code == 2
 
 
+def test_ambiguous_minus_one_names_the_orbits(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "blocks", "--group", "Z2xZ4")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "candidates: 0, 2, 4, 6; up to automorphism: 0 | 2 | 4, 6" in err
+
+
 def test_blocks_out_file(tmp_path, capsys):
     target = tmp_path / "grid.csv"
     code, out, _ = run(

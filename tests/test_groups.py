@@ -134,6 +134,27 @@ def test_involution_candidates():
     assert z10.involution_candidates() == [0, 5]
 
 
+def test_minus_one_orbits_pin_the_small_cases():
+    expected = {
+        "Z2xZ2xZ2": [(0,), (1, 2, 3, 4, 5, 6, 7)],
+        "Z2xZ4": [(0,), (2,), (4, 6)],
+        "Z2xZ6": [(0,), (3, 6, 9)],
+        "Z12": [(0,), (6,)],
+        "Z7": [(0,)],
+    }
+    for spec, orbits in expected.items():
+        assert AbelianGroup.from_spec(spec).minus_one_orbits() == orbits, spec
+
+
+def test_minus_one_orbits_match_the_automorphism_orbits_up_to_order_16():
+    groups = list(abelian_groups_up_to(16))
+    assert len(groups) == 25
+    for g in groups:
+        autos = g.automorphisms()
+        orbits = {tuple(sorted({a[x] for a in autos})) for x in g.involution_candidates()}
+        assert g.minus_one_orbits() == sorted(orbits), g
+
+
 def brute_automorphism_count(g):
     """Count bijections preserving multiplication. Exponential; keep orders tiny."""
     n = len(list(g.elements()))

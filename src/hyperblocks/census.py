@@ -48,7 +48,6 @@ from .blocks import BlockPartition, compute_blocks
 from .errors import CapacityError
 from .groups import AbelianGroup
 from .hyperfields import (
-    AXIOM_ORDER,
     STATUS_CERTIFIED,
     HyperfieldCandidate,
     build_candidate,
@@ -248,6 +247,8 @@ class AxiomCircuit:
     sides differ.
     """
 
+    AXIOMS = ("nonempty-sums", "associativity")
+
     def __init__(self, bp: BlockPartition):
         group, minus_one, r = bp.group, bp.minus_one, bp.r
         zero = r  # elements are 0..r, r standing for 0
@@ -320,10 +321,9 @@ class AxiomCircuit:
     def failures(self, words: np.ndarray) -> np.ndarray:
         """First failing axiom of 64 candidates a word, words[i] holding block bit i.
 
-        Returns words of shape (len(AXIOM_ORDER), words.shape[1]); bit j of
-        [i, w] is set when AXIOM_ORDER[i] is the first axiom that the
-        candidate at bit j of word w fails.  The rows of the four axioms
-        that hold on every union of blocks are zero.
+        Returns words of shape (2, words.shape[1]); bit j of [i, w] is set
+        when AXIOMS[i] is the first axiom that the candidate at bit j of
+        word w fails.  Every other axiom holds on each union of blocks.
         """
         ones = np.full((1, words.shape[1]), ~np.uint64(0))
         pair_ands = words[self.pair_regs[0]] & words[self.pair_regs[1]]
@@ -332,10 +332,7 @@ class AxiomCircuit:
         empty, unassociative = (
             np.bitwise_or.reduce(sides[a] ^ sides[b], axis=0) for a, b in self.equalities
         )
-        first = np.zeros((len(AXIOM_ORDER), words.shape[1]), dtype=np.uint64)
-        first[AXIOM_ORDER.index("nonempty-sums")] = empty
-        first[AXIOM_ORDER.index("associativity")] = unassociative & ~empty
-        return first
+        return np.stack([empty, unassociative & ~empty])
 
 
 def _ample_screen(bp: BlockPartition, words: np.ndarray) -> np.ndarray:
@@ -615,13 +612,10 @@ class SweepReport:
 def _sweep_tallies(bp: BlockPartition) -> SweepReport:
     """verify_all_subsets' sweep of one partition, with no budget check and no cache."""
     circuit = AxiomCircuit(bp)
-    # the circuit's only rows that can be nonzero (see AxiomCircuit.failures)
-    axioms = ("nonempty-sums", "associativity")
-    counted = [AXIOM_ORDER.index(name) for name in axioms]
-    # per row: first failures of each counted axiom, certified, certified but failing
-    tallies = np.zeros(len(axioms) + 2, dtype=np.int64)
+    # per row: first failures of each axiom of the circuit, certified, certified but failing
+    tallies = np.zeros(len(circuit.AXIOMS) + 2, dtype=np.int64)
     for _, words, valid, screen in _chunks(bp, None):
-        first = circuit.failures(words)[counted] & valid
+        first = circuit.failures(words) & valid
         rows = np.vstack([first, screen, screen & np.bitwise_or.reduce(first, axis=0)])
         # popcounts through bytes: np.bitwise_count needs numpy 2
         tallies += _BYTE_POPCOUNT[rows.view(np.uint8)].sum(axis=1, dtype=np.int64)
@@ -634,7 +628,7 @@ def _sweep_tallies(bp: BlockPartition) -> SweepReport:
         total - sum(failures),
         certified,
         certified_unverified,
-        {name: n for name, n in zip(axioms, failures) if n},
+        {name: n for name, n in zip(circuit.AXIOMS, failures) if n},
     )
 
 

@@ -10,7 +10,8 @@ Subcommands:
 * fetvins   solvability sweep, or solve one system constructively
 * show      inspect catalog files written by the other commands
 
-Exit codes: 0 success, 1 a verification-style claim failed, 2 usage
+Exit codes: 0 success, 1 a verification-style claim failed or stdout
+was closed early (a broken pipe, reported without a traceback), 2 usage
 (an unreadable --in catalog included), 3 a budget was exceeded.
 """
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -674,10 +676,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()
+        return code
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Exact counting of 0/1 solutions to strict inequality systems, and the
-column-swap decomposition that turns a block coefficient matrix into a
-product of independent rows.
+lower bound of the column-swap decomposition, read off the rows of the
+block coefficient matrix.
 
 A system is C x > d componentwise with non-negative entries, x ranging
 over {0,1}^b.  Solutions of the system built from a block partition
@@ -190,25 +190,9 @@ def valid_swap(s: InequalitySystem, g: int, u: int, v: int) -> InequalitySystem:
 # -- decomposition ------------------------------------------------------------
 
 
-def _decompose(s: InequalitySystem) -> tuple[InequalitySystem, int]:
-    """decompose_and_bound's swaps until every column holds at most one
-    nonzero entry; returns the system and the number of swaps."""
-    swaps = 0
-    while True:
-        over_full = next(
-            (u for u in range(s.ncols) if sum(1 for row in s.rows if row[u] != 0) >= 2), None
-        )
-        if over_full is None:
-            return s, swaps
-        v = next(c for c in range(s.ncols) if all(row[c] == 0 for row in s.rows))
-        g = next(i for i, row in enumerate(s.rows) if row[over_full] != 0)
-        s = valid_swap(s, g, over_full, v)
-        swaps += 1
-
-
 def _count_disjoint(s: InequalitySystem, state_limit: int | None = None) -> int:
-    """Solutions of a system whose rows share no column: the product of the
-    one-row counts, times 2 per all-zero column."""
+    """The count of s once its rows share no column: the product of the
+    one-row counts of each row's nonzero entries, times 2 per all-zero column."""
     count = 1 << sum(1 for u in range(s.ncols) if all(row[u] == 0 for row in s.rows))
     for row, d in zip(s.rows, s.thresholds):
         entries = tuple(e for e in row if e != 0)
@@ -220,7 +204,7 @@ def _count_disjoint(s: InequalitySystem, state_limit: int | None = None) -> int:
 class BoundReport:
     exact_count: int  # solutions of the original block system
     lower_bound: int  # 2^(b - (r+1)/2)
-    final_count: int  # solutions of the fully decomposed padded system
+    final_count: int  # solutions of the decomposition's end state, one entry per column
     b: int
     b_prime: int
     swaps: int
@@ -229,15 +213,14 @@ class BoundReport:
 def decompose_and_bound(bp: BlockPartition, state_limit: int | None = None) -> BoundReport:
     """Count ample subsets exactly and prove the 2^(b - (r+1)/2) lower bound.
 
-    Pads the block coefficient system with zero columns up to one column
-    per nonzero entry, then repeatedly applies valid swaps (lowest
-    over-full column, lowest zero column, lowest row) until every column
-    holds at most one nonzero entry.  Swaps never increase the solution
-    count and each padding column exactly doubles it, so the count of the
-    final system divided by the padding factor bounds the original count
-    from below.  The final rows share no column, so its count is the
-    product of one-row counts times 2 per empty column; state_limit
-    applies to each count_solutions call.
+    The proof pads the block coefficient system with zero columns up to
+    b' columns, one per nonzero entry, and applies valid swaps until no
+    two rows share a column.  Swaps never increase the solution count and
+    each padding column exactly doubles it, so the count of the end state
+    divided by 2^(b' - b) bounds the original count from below.  The end
+    state and the number of swaps follow from the rows alone, so no swap
+    is applied: final_count is the product of one-row counts, and
+    state_limit applies to each count_solutions call.
     """
     r = bp.r
     if r % 2 == 0:
@@ -245,8 +228,11 @@ def decompose_and_bound(bp: BlockPartition, state_limit: int | None = None) -> B
     base = ample_system(bp)
     exact = count_solutions(base, state_limit)
     b_prime = sum(1 for row in base.rows for e in row if e != 0)
-    s, swaps = _decompose(base.padded(b_prime - base.ncols))
-    final = _count_disjoint(s, state_limit)
+    # All b columns start occupied, since every block has a pair (g, y), and a swap moves
+    # an entry within its row into an empty column until each of the b' columns holds one:
+    # b' - b swaps, ending with each row's nonzero entries on columns of their own.
+    swaps = b_prime - bp.b
+    final = _count_disjoint(base, state_limit)
     bound = 1 << (bp.b - (r + 1) // 2)
     if exact < bound:
         raise RuntimeError(

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -269,6 +272,16 @@ def test_verify_pi_source(capsys):
     assert entry["ample"] is True
 
 
+def test_verify_names_no_blocks_for_a_relation_that_is_no_union(capsys):
+    argv = ("verify", "--group", "Z3", "--minus-one", "0", "--pi", "010000000")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "blocks=-" in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["blocks"] is None
+
+
 def test_group_alone_is_the_full_relation(capsys):
     code, out, _ = run(capsys, "verify", "--group", "Z3")
     assert code == 0
@@ -324,6 +337,25 @@ def usage_error(capsys, *argv) -> str:
         main(list(argv))
     assert exc.value.code == 2
     return capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["blocks", "--group", "Z3", "--minus-one", "1"], "does not square to the identity"),
+        (["quotient", "--q", "7"], "--q needs --r"),
+        (["fetvins", "--group", "Z3", "--blocks", "BCD", "--system", "[[0,1"], "bad --system"),
+        (["fetvins", "--group", "Z3", "--blocks", "BCD", "--system", "[[0,9,0]]"], "out of range"),
+    ],
+)
+def test_bad_arguments_are_usage_errors(capsys, argv, message):
+    assert message in usage_error(capsys, *argv)
+
+
+def test_empty_catalog_is_a_usage_error_for_fetvins(tmp_path, capsys):
+    cat = tmp_path / "empty.jsonl"
+    cat.write_text("", encoding="utf-8")
+    assert "no candidate given" in usage_error(capsys, "fetvins", "--in", str(cat))
 
 
 @pytest.mark.parametrize("command", ["show", "verify", "quotient"])
@@ -575,6 +607,43 @@ def test_fetvins_solver_requires_ample(capsys):
 
 
 # -- top level ----------------------------------------------------------------------
+
+
+def cli_process(*argv, stdout):
+    """The CLI run in a process of its own, with stderr piped and stdout block-buffered."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "hyperblocks.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+def assert_quiet_exit_1(proc):
+    with proc:
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_stdout_closed_mid_output_exits_1_without_a_traceback():
+    # Z128's grid is about 750 KB, more than a pipe holds
+    proc = cli_process("blocks", "--group", "Z128", "--minus-one", "0", stdout=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"group Z128")
+    proc.stdout.close()
+    assert_quiet_exit_1(proc)
+
+
+def test_stdout_closed_before_the_flush_exits_1_without_a_traceback():
+    # count's few bytes wait in stdout's buffer, so the closed pipe fails only at the flush
+    read, write = os.pipe()
+    os.close(read)
+    proc = cli_process("count", "--group", "Z3", stdout=write)
+    os.close(write)
+    assert_quiet_exit_1(proc)
 
 
 def test_no_subcommand_is_usage_error(capsys):

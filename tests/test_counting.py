@@ -22,7 +22,7 @@ from hyperblocks import (
 )
 from hyperblocks import counting
 from hyperblocks.cli import main
-from hyperblocks.counting import _count_disjoint, _decompose
+from hyperblocks.counting import _count_disjoint
 
 
 def brute_count(s):
@@ -322,13 +322,23 @@ def test_decompose_final_count_formula(z5_blocks):
     assert rep.final_count == 1 << (rep.b_prime - nrows)
 
 
-@pytest.mark.parametrize("spec", ["Z3", "Z5", "Z7"])
-def test_disjoint_count_equals_count_solutions_after_decomposition(spec):
-    base = ample_system(compute_blocks(AbelianGroup.from_spec(spec), 0))
-    b_prime = sum(1 for row in base.rows for e in row if e != 0)
-    s, _ = _decompose(base.padded(b_prime - base.ncols))
-    assert all(sum(1 for row in s.rows if row[u]) <= 1 for u in range(s.ncols))
-    assert _count_disjoint(s) == count_solutions(s)
+@pytest.mark.parametrize("spec", ["Z3", "Z5", "Z7", "Z9", "Z3xZ3"])
+def test_decomposition_end_state_matches_the_row_product(spec):
+    # the end state of the swaps puts each row's nonzero entries on b'
+    # columns of their own; its DP count is the report's product of one-row counts
+    bp = compute_blocks(AbelianGroup.from_spec(spec), 0)
+    base = ample_system(bp)
+    entries = [[e for e in row if e] for row in base.rows]
+    b_prime = sum(map(len, entries))
+    rows, at = [], 0
+    for own in entries:
+        rows.append([0] * at + own + [0] * (b_prime - at - len(own)))
+        at += len(own)
+    end = InequalitySystem.make(rows, base.thresholds, b_prime)
+    assert all(sum(1 for row in end.rows if row[u]) == 1 for u in range(b_prime))
+    rep = decompose_and_bound(bp)
+    assert count_solutions(end) == rep.final_count
+    assert rep.swaps == rep.b_prime - rep.b
 
 
 def test_disjoint_count_randomized():

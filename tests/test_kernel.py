@@ -28,7 +28,6 @@ from hyperblocks import (
 )
 from hyperblocks.blocks import consistency_step, reversal_negation_step
 from hyperblocks.census import CHUNK_BITS, AxiomCircuit, _ample_screen, _chunks, _survivors
-from hyperblocks.hyperfields import AXIOM_ORDER
 
 
 def partitions(lo, hi):
@@ -61,7 +60,7 @@ def bits_of(words, n):
 def first_failures(bp, circuit, masks):
     """The kernel's first failing axiom per block mask, None where every axiom holds."""
     first = bits_of(circuit.failures(words_of(masks, bp.b)), len(masks))
-    return [AXIOM_ORDER[col.argmax()] if col.any() else None for col in first.T]
+    return [circuit.AXIOMS[col.argmax()] if col.any() else None for col in first.T]
 
 
 @pytest.mark.parametrize("spec,m1", partitions(1, 6))

@@ -488,10 +488,17 @@ def cmd_quotient(args, parser) -> int:
 
 
 def _parse_system(h: HyperfieldCandidate, text: str, parser) -> LinearSystem:
-    """Equations as JSON lists; -1 stands for the zero coefficient."""
+    """Equations as JSON lists of integers; -1 stands for the zero coefficient."""
     try:
         raw = json.loads(text)
-        eqs = [[h.zero if c == -1 else int(c) for c in eq] for eq in raw]
+        if type(raw) is not list or any(type(eq) is not list for eq in raw):
+            raise ValueError("expected a JSON list of equations, each a list of coefficients")
+        for eq in raw:
+            for c in eq:
+                # a float, string or bool is refused, never truncated or read as 0 or 1
+                if type(c) is not int:
+                    raise ValueError(f"coefficient {json.dumps(c)} is not an integer")
+        eqs = [[h.zero if c == -1 else c for c in eq] for eq in raw]
         system = LinearSystem.make(eqs)
     except (ValueError, TypeError) as exc:
         parser.error(f"bad --system: {exc}")
@@ -660,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_candidate_source(sp)
     sp.add_argument("--nmax", type=_int_at_least(1), default=3, help="largest variable count")
     sp.add_argument("--budget", type=_int_at_least(0), default=BRUTE_BUDGET)
-    sp.add_argument("--system", help="JSON equations; -1 is the zero coefficient")
+    sp.add_argument("--system", help="JSON equations of integer coefficients; -1 is the zero coefficient")
     _add_common(sp, fmt=("text", "json"))
     sp.set_defaults(func=cmd_fetvins)
 

@@ -9,6 +9,7 @@ without exhaustive search over full assignments.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple
@@ -20,6 +21,7 @@ from .hyperfields import HyperfieldCandidate, bit_rows, is_ample, row_ints
 
 BRUTE_BUDGET = 10_000_000
 PILE_BUDGET = 1_000_000
+PLAN_CAP = 1024  # equation plans a candidate keeps before it drops them all
 
 
 class SolverInvariantError(Exception):
@@ -32,7 +34,9 @@ class LinearSystem:
 
     Index r (the zero slot of the parent hyperfield) is a zero
     coefficient, so a plain field equation like x - y = 0 over a group of
-    order r appears as (0, minus_one, r, ..., r).
+    order r appears as (0, minus_one, r, ..., r).  A system built
+    directly must hold tuples, since the solver keys its equation plans
+    by them; make builds tuples from any integer sequences.
     """
 
     n_vars: int
@@ -40,7 +44,9 @@ class LinearSystem:
 
     @classmethod
     def make(cls, equations, n_vars: int | None = None) -> LinearSystem:
-        eqs = tuple(tuple(int(c) for c in eq) for eq in equations)
+        """Equations from integer coefficients; a float, a string or a bool
+        is refused with TypeError, never truncated or read as 0 or 1."""
+        eqs = tuple(tuple(_coefficient(c) for c in eq) for eq in equations)
         if n_vars is None:
             if not eqs:
                 raise ValueError("n_vars required for an empty system")
@@ -51,6 +57,12 @@ class LinearSystem:
             if any(c < 0 for c in eq):
                 raise ValueError("coefficients are element indices, must be >= 0")
         return cls(n_vars, eqs)
+
+
+def _coefficient(c) -> int:
+    if isinstance(c, bool):
+        raise TypeError(f"coefficient {c!r} is a bool, not an element index")
+    return operator.index(c)
 
 
 class _SumRows(dict):
@@ -103,6 +115,9 @@ class _Tables(NamedTuple):
     # the tie c1 x1 + c2 x2 = 0, x2 = -c1/c2 x1.
     negdiv: list[list[int]]
     solved: _SolutionSets  # the pins' solution sets, read through negdiv
+    # equation tuple -> its support, the positions of its nonzero
+    # coefficients in variable order; only range-checked tuples are stored
+    plans: dict[tuple[int, ...], tuple[int, ...]]
 
 
 def _tables(h: HyperfieldCandidate) -> _Tables:
@@ -113,21 +128,38 @@ def _tables(h: HyperfieldCandidate) -> _Tables:
         prod = [h.group.mul_row(c) + [zero] for c in range(zero)] + [[zero] * (zero + 1)]
         add = h.add_table()
         negdiv = [prod[prod[h.minus_one][h.group.inv(c)]] for c in range(zero)]
-        cached = _Tables(zero, prod, add, is_ample(h), _SumRows(add), negdiv, _SolutionSets(negdiv))
+        cached = _Tables(zero, prod, add, is_ample(h), _SumRows(add), negdiv, _SolutionSets(negdiv), {})
         h._linear_tables = cached
     return cached
 
 
-def _validate(h: HyperfieldCandidate, system: LinearSystem) -> None:
-    zero, n = h.zero, system.n_vars
+def _plan(t: _Tables, eq: tuple[int, ...]) -> tuple[int, ...]:
+    """Range-check an equation the candidate has not planned and store its
+    support; the memo is emptied when it holds PLAN_CAP plans."""
+    zero = t.zero
+    for c in eq:
+        if not 0 <= c <= zero:
+            if c < 0:
+                raise ValueError("coefficients are element indices, must be >= 0")
+            raise ValueError(f"coefficient index {c} out of range for r={zero}")
+    if len(t.plans) >= PLAN_CAP:
+        t.plans.clear()
+    support = t.plans[eq] = tuple([var for var, c in enumerate(eq) if c != zero])
+    return support
+
+
+def _planned(t: _Tables, system: LinearSystem) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each equation paired with its support, read from its plan.  Every
+    call checks the lengths; coefficients are checked when an equation is
+    first planned."""
+    n, plans = system.n_vars, t.plans
+    planned = []
     for eq in system.equations:
         if len(eq) != n:
             raise ValueError("ragged equation lengths")
-        for c in eq:
-            if not 0 <= c <= zero:
-                if c < 0:
-                    raise ValueError("coefficients are element indices, must be >= 0")
-                raise ValueError(f"coefficient index {c} out of range for r={h.r}")
+        support = plans.get(eq)
+        planned.append((eq, _plan(t, eq) if support is None else support))
+    return planned
 
 
 def set_sum(h: HyperfieldCandidate, masks) -> int:
@@ -139,18 +171,18 @@ def set_sum(h: HyperfieldCandidate, masks) -> int:
     return total
 
 
-def _term_sum(t: _Tables, eq: tuple[int, ...], assignment) -> int:
+def _holds(t: _Tables, planned, assignment) -> bool:
+    """Whether zero lies in the sum of the terms c_i x_i of every
+    (equation, support) pair.  The sum is folded over the support only,
+    which gives the same set: a zero coefficient's term is zero, and
+    S + 0 = S for every set S."""
     prod, sums = t.prod, t.sums
-    total = 1 << t.zero
-    for c, x in zip(eq, assignment):
-        total = sums[total][prod[c][x]]
-    return total
-
-
-def _holds(t: _Tables, system: LinearSystem, assignment) -> bool:
     zero_bit = 1 << t.zero
-    for eq in system.equations:
-        if not _term_sum(t, eq, assignment) & zero_bit:
+    for eq, support in planned:
+        total = zero_bit
+        for var in support:
+            total = sums[total][prod[eq[var]][assignment[var]]]
+        if not total & zero_bit:
             return False
     return True
 
@@ -159,8 +191,8 @@ def check(h: HyperfieldCandidate, system: LinearSystem, assignment) -> bool:
     """True when every equation's term sum contains zero."""
     if len(assignment) != system.n_vars:
         raise ValueError("assignment length does not match variable count")
-    _validate(h, system)
-    return _holds(_tables(h), system, assignment)
+    t = _tables(h)
+    return _holds(t, _planned(t, system), assignment)
 
 
 def is_trivial(h: HyperfieldCandidate, assignment) -> bool:
@@ -173,13 +205,13 @@ def brute_force_solve(
 ) -> tuple[int, ...] | None:
     """First nontrivial solution in an order that tries zeroes first, so
     sparse solutions surface before dense ones; None if there is none."""
-    _validate(h, system)
+    t = _tables(h)
+    planned = _planned(t, system)
     n = system.n_vars
     domain = [h.zero] + list(range(h.r))
     total = (h.r + 1) ** n
     if total > budget:
         raise CapacityError(f"{total} assignments exceed the budget of {budget}")
-    t = _tables(h)
     for idx in range(1, total):  # index 0 is the all-zero assignment
         digits = []
         rem = idx
@@ -187,7 +219,7 @@ def brute_force_solve(
             digits.append(domain[rem % (h.r + 1)])
             rem //= h.r + 1
         assignment = tuple(digits)
-        if _holds(t, system, assignment):
+        if _holds(t, planned, assignment):
             return assignment
     return None
 
@@ -219,46 +251,44 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
     small enough to search outright.
 
     A working equation is a dense coefficient row, zero where a variable
-    is absent (the input tuple until something is pinned or tied), and
-    the sum of the constants that assigned variables contributed, None
-    while there are none.  Every rule is one read from the candidate's
+    is absent (the input tuple until something is pinned or tied), its
+    support (the input tuple's plan, then the row's nonzero positions),
+    and the sum of the constants that assigned variables contributed,
+    None while there are none.  Every rule is one read from the candidate's
     tables: a pin reads its solution set -rest/c from the solved table, a
     tie reads its factor -c1/c2 from the -x/c rows.  Ties live in a flat
     map from each tied variable straight to its root and factor; a tie
     relabels the entries that pointed at the variable it ties.
     """
     t = _tables(h)
-    zero, prod, add, ample, sums, negdiv, solved = t
+    zero, prod, add, ample, sums, negdiv, solved, _ = t
     if not ample:
         raise ValueError("solver requires an ample hyperfield")
     n, k = system.n_vars, len(system.equations)
     if k >= n:
         raise ValueError(f"need fewer equations than variables, got {k} >= {n}")
-    for eq in system.equations:
-        if len(eq) != n or min(eq) < 0 or max(eq) > zero:
-            _validate(h, system)  # raises, naming the fault
+    planned = _planned(t, system)
     zero_bit = 1 << zero
 
     tied: dict[int, tuple[int, int]] = {}  # var -> (root, factor): x_var = factor * x_root
     assignment: dict[int, int] = {}  # root var -> element
     settled = False  # until something is pinned or tied, every equation is normal
 
-    pending = [(eq, None) for eq in system.equations]
-    deferred = []  # (variable, its residue rows), unwound in reverse
+    pending = [(eq, support, None) for eq, support in planned]
+    deferred = []  # (variable, its residue rows and their supports), unwound in reverse
 
     # Every pass but the last drops an equation or settles the variables
     # of a pile, so at most n + k + 1 passes run.
     while pending:
         kept, residue = [], []  # residue: the kept rows of three terms and no constant
-        for row, rest in pending:
+        for row, terms, rest in pending:
             if settled:
                 # normalize: variables become roots, assigned roots become
                 # constants, and duplicate roots merge, in variable order,
                 # through the sum of their coefficients
                 old, row = row, [zero] * n
-                for var, coeff in enumerate(old):
-                    if coeff == zero:
-                        continue
+                for var in terms:
+                    coeff = old[var]
                     if var in tied:
                         var, factor = tied[var]
                         coeff = prod[coeff][factor]
@@ -272,22 +302,22 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
                         merged = add[row[var]][coeff]
                         # cancellation is available, take it
                         row[var] = zero if merged & zero_bit else (merged & -merged).bit_length() - 1
-            weight = n - row.count(zero)
+                terms = [var for var, coeff in enumerate(row) if coeff != zero]
+            weight = len(terms)
             if weight > 2:
-                kept.append((row, rest))
+                kept.append((row, terms, rest))
                 if weight == 3 and rest is None:
-                    residue.append(row)
+                    residue.append((row, terms))
                 continue
-            terms = [var for var, coeff in enumerate(row) if coeff != zero]
-            if len(terms) == 2 and rest is not None:
+            if weight == 2 and rest is not None:
                 # anchor the lower variable at 1, which leaves a pin of the other
-                var = terms.pop(0)
+                var, terms, weight = terms[0], terms[1:], 1
                 assignment[var] = 0
                 rest = sums[rest][row[var]]
-            if not terms:
+            if weight == 0:
                 if rest is not None and not rest & zero_bit:
                     raise SolverInvariantError("constant equation misses zero")
-            elif len(terms) == 1:
+            elif weight == 1:
                 var = terms[0]
                 assignment[var] = _pick(solved[row[var], zero_bit if rest is None else rest], zero)
                 settled = True
@@ -308,14 +338,17 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
         # only equations of weight >= 3 remain, each normalized in this pass
         if not residue:
             break
-        occurrences = [len(residue) - column.count(zero) for column in zip(*residue)]
+        occurrences = [0] * n
+        for _, terms in residue:
+            for var in terms:
+                occurrences[var] += 1
         for var, count in enumerate(occurrences):
             if 0 < count <= 2:
-                deferred.append((var, [row for row in residue if row[var] != zero]))
+                deferred.append((var, [(row, terms) for row, terms in residue if row[var] != zero]))
                 pending = [
-                    (row, rest)
-                    for row, rest in pending
-                    if rest is not None or row[var] == zero or row.count(zero) != n - 3
+                    (row, terms, rest)
+                    for row, terms, rest in pending
+                    if rest is not None or row[var] == zero or len(terms) != 3
                 ]
                 break
         else:
@@ -331,11 +364,11 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
 
     for var, rows in reversed(deferred):
         mask = (zero_bit << 1) - 1  # every element
-        for row in rows:
+        for row, terms in rows:
             rest = zero_bit
-            for v, c in enumerate(row):
-                if c != zero and v != var:
-                    rest = sums[rest][prod[c][assignment[v]]]
+            for v in terms:
+                if v != var:
+                    rest = sums[rest][prod[row[v]][assignment[v]]]
             mask &= solved[row[var], rest]
         if not mask:
             raise SolverInvariantError("deferred variable has no consistent value")
@@ -346,23 +379,17 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
     solution = tuple([assignment[var] for var in range(n)])
     # the solver's correctness gate: nontrivial, and zero in every
     # equation's sum; the system was validated on entry
-    valid = solution.count(zero) < n
-    for eq in system.equations:
-        total = zero_bit
-        for c, x in zip(eq, solution):
-            total = sums[total][prod[c][x]]
-        valid = valid and total & zero_bit
-    if not valid:
+    if solution.count(zero) == n or not _holds(t, planned, solution):
         raise SolverInvariantError(f"solver produced an invalid assignment {solution}")
     return solution
 
 
 def _solve_pile(t: _Tables, pile: list, assignment: dict[int, int]) -> None:
-    """Exhaust a residue where every variable meets three or more
-    equations; nonzero values are tried first, the all-zero assignment is
-    the final resort and always works."""
+    """Exhaust a residue, (row, support) pairs, where every variable meets
+    three or more equations; nonzero values are tried first, the all-zero
+    assignment is the final resort and always works."""
     zero, prod, sums = t.zero, t.prod, t.sums
-    terms = [[(v, c) for v, c in enumerate(row) if c != zero] for row in pile]
+    terms = [[(v, row[v]) for v in support] for row, support in pile]
     pile_vars = sorted({v for row_terms in terms for v, _ in row_terms})
     total = (zero + 1) ** len(pile_vars)
     if total > PILE_BUDGET:

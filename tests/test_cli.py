@@ -346,6 +346,11 @@ def usage_error(capsys, *argv) -> str:
         (["quotient", "--q", "7"], "--q needs --r"),
         (["fetvins", "--group", "Z3", "--blocks", "BCD", "--system", "[[0,1"], "bad --system"),
         (["fetvins", "--group", "Z3", "--blocks", "BCD", "--system", "[[0,9,0]]"], "out of range"),
+        # a coefficient that is not an integer is named, never truncated or read as 0 or 1
+        (["fetvins", "--group", "Z3", "--blocks", "BC", "--system", "[[0, 1.5, -1]]"], "coefficient 1.5 is not an integer"),
+        (["fetvins", "--group", "Z3", "--blocks", "BC", "--system", "[[0, true, -1]]"], "coefficient true is not an integer"),
+        (["fetvins", "--group", "Z3", "--blocks", "BC", "--system", '[["2", 0, 1]]'], 'coefficient "2" is not an integer'),
+        (["fetvins", "--group", "Z3", "--blocks", "BC", "--system", "[0, 1, 2]"], "expected a JSON list of equations"),
     ],
 )
 def test_bad_arguments_are_usage_errors(capsys, argv, message):

@@ -1,6 +1,7 @@
 """Linear systems over hyperfields: the brute-force and structured solvers."""
 
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -54,6 +55,10 @@ def test_make_validation():
         LinearSystem.make([[0, 1], [0]])
     with pytest.raises(ValueError):
         LinearSystem.make([[0, -1]])
+    # coefficients are integers: nothing is truncated or read as 0 or 1
+    for bad in (1.5, True, "2"):
+        with pytest.raises(TypeError):
+            LinearSystem.make([[0, bad, 1]])
 
 
 def test_coefficient_range_checked(z3_named):
@@ -75,6 +80,24 @@ def test_equation_length_must_match_variable_count(z3_named):
         for call in (ample_solve, brute_force_solve, lambda h, s: check(h, s, (0,) * s.n_vars)):
             with pytest.raises(ValueError, match="ragged equation lengths"):
                 call(h, system)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_check_matches_the_full_fold_on_drawn_relations(data):
+    """check folds each equation over its nonzero coefficients only; on any
+    relation, hyperfield or not, that equals the fold over every term."""
+    spec = data.draw(st.sampled_from(["Z2", "Z3", "Z4", "Z2xZ2", "Z5"]), label="group")
+    g = AbelianGroup.from_spec(spec)
+    m1 = data.draw(st.sampled_from(g.involution_candidates()), label="minus_one")
+    bits = data.draw(st.text("01", min_size=g.order**2, max_size=g.order**2), label="pi")
+    h = HyperfieldCandidate.from_pi_bits(g, m1, bits)
+    n = data.draw(st.integers(1, 4), label="n")
+    element = st.integers(0, h.r)  # h.r is the zero slot
+    eqs = data.draw(st.lists(st.lists(element, min_size=n, max_size=n), min_size=1, max_size=3))
+    assignment = data.draw(st.lists(element, min_size=n, max_size=n), label="assignment")
+    system = LinearSystem.make(eqs, n_vars=n)
+    assert check(h, system, assignment) == all(zero_in_sum(h, eq, assignment) for eq in eqs)
 
 
 def test_set_sum_krasner():
@@ -110,15 +133,17 @@ def test_brute_force_solve_examples():
 
 
 def test_brute_force_solve_validates_once(monkeypatch):
+    # the equations are validated and their supports read once per call,
+    # not once per assignment tried
     calls = 0
-    validate = linear._validate
+    planned = linear._planned
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        validate(*args)
+        return planned(*args)
 
-    monkeypatch.setattr(linear, "_validate", counted)
+    monkeypatch.setattr(linear, "_planned", counted)
     s = sign_hyperfield()
     # every assignment is tried before the answer None
     assert brute_force_solve(s, LinearSystem.make([[0, s.zero], [s.zero, 0]])) is None
@@ -338,6 +363,74 @@ def test_ample_solve_through_a_pile(monkeypatch):
         assert piles == i + 1
         assert any(x != h.zero for x in sol)
         assert all(zero_in_sum(h, eq, sol) for eq in system.equations)
+
+
+# -- equation plans --------------------------------------------------------------
+
+
+def test_a_warm_plan_still_validates(z3_named):
+    h = z3_named["BC"]
+    plans = linear._tables(h).plans
+    planned = (0, 1, 2)
+    ample_solve(h, LinearSystem(3, (planned,)))
+    assert plans[planned] == (0, 1, 2)
+    # the planned tuple inside a 2-variable system is still refused
+    for call in (ample_solve, brute_force_solve, lambda h, s: check(h, s, (0, 0))):
+        with pytest.raises(ValueError, match="ragged equation lengths"):
+            call(h, LinearSystem(2, (planned,)))
+    # a failing tuple raises on every call and is never planned
+    for bad, message in (((0, -1, 1), "must be >= 0"), ((0, 4, 1), "out of range for r=3")):
+        for _ in range(2):
+            for call in (ample_solve, brute_force_solve, lambda h, s: check(h, s, (0, 0, 0))):
+                with pytest.raises(ValueError, match=message):
+                    call(h, LinearSystem(3, (planned, bad)))
+        assert bad not in plans
+
+
+def fresh(h):
+    """A copy of h with no tables built yet."""
+    return HyperfieldCandidate(h.group, h.minus_one, h.rows)
+
+
+def test_plans_stay_under_their_cap():
+    h = fresh(build_candidate(compute_blocks(AbelianGroup.from_spec("Z5"), 0), 0x7F))
+    plans = linear._tables(h).plans
+    rng = random.Random(24)
+    sizes, solved = [], []
+    while sum(len(s.equations) for s, _ in solved) <= 2 * linear.PLAN_CAP:
+        n = rng.randrange(4, 8)
+        eqs = [[rng.randrange(h.r + 1) for _ in range(n)] for _ in range(rng.randrange(1, n))]
+        system = LinearSystem.make(eqs, n_vars=n)
+        solved.append((system, ample_solve(h, system)))
+        sizes.append(len(plans))
+    assert max(sizes) <= linear.PLAN_CAP
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the memo was emptied on the way
+    for system, sol in solved:
+        assert ample_solve(fresh(h), system) == sol
+
+
+def test_plans_belong_to_their_candidate():
+    """Candidates of different r, made, solved and dropped in turn, give
+    the answers of fresh ones; the tuples mean different equations under
+    each r, so plans handed from a dropped candidate would show."""
+    by_r = {h.r: h for h in ample_hyperfields_up_to_5() if h.r >= 2}
+    assert sorted(by_r) == [2, 3, 4, 5]
+    rng = random.Random(7)
+    systems = [
+        LinearSystem.make([[rng.randrange(3) for _ in range(4)] for _ in range(rng.randrange(1, 4))])
+        for _ in range(40)
+    ]
+    expected = {r: [ample_solve(fresh(h), s) for s in systems] for r, h in by_r.items()}
+    for r, h in by_r.items():
+        for system, sol in zip(systems, expected[r]):
+            assert any(x != h.zero for x in sol)
+            assert all(zero_in_sum(h, eq, sol) for eq in system.equations)
+    for _ in range(3):
+        for r, h in by_r.items():
+            h = fresh(h)
+            assert [ample_solve(h, s) for s in systems] == expected[r]
+            del h
+            gc.collect()
 
 
 # over Z5; -1 is the zero coefficient

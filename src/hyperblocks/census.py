@@ -44,7 +44,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .blocks import BlockPartition, compute_blocks
+from .blocks import COEFF_ENTRY_BOUND, BlockPartition, compute_blocks
 from .errors import CapacityError
 from .groups import AbelianGroup
 from .hyperfields import (
@@ -86,6 +86,28 @@ def block_permutations(bp: BlockPartition) -> np.ndarray:
         perm[block_of] = moved
         if not np.array_equal(perm[block_of], moved):
             raise RuntimeError(f"an automorphism of {bp.group} splits a block")
+    return perms
+
+
+# block_permutations tables by partition, least recently used first
+_PERMUTATIONS: dict[BlockPartition, np.ndarray] = {}
+
+
+def _shared_permutations(bp: BlockPartition) -> np.ndarray:
+    """block_permutations(bp), built once and shared, so read-only.
+
+    The tables are kept while they hold at most COEFF_ENTRY_BOUND entries
+    in all, the bound on one partition's coefficient counts; the least
+    recently used go first, and a table larger than the bound is not kept.
+    """
+    perms = _PERMUTATIONS.pop(bp, None)
+    if perms is None:
+        perms = block_permutations(bp)
+        perms.flags.writeable = False
+    _PERMUTATIONS[bp] = perms
+    held = sum(table.size for table in _PERMUTATIONS.values())
+    while held > COEFF_ENTRY_BOUND:
+        held -= _PERMUTATIONS.pop(next(iter(_PERMUTATIONS))).size
     return perms
 
 
@@ -244,7 +266,8 @@ class AxiomCircuit:
     Evaluation is bit-sliced (Biham, FSE 1997): a uint64 word holds one
     block bit of 64 candidates, each side is the OR of a fixed number of
     register rows, its blanks reading false, and a pair fails where its
-    sides differ.
+    sides differ.  The registers, sides and gathered operands are written
+    into one workspace the circuit keeps across calls.
     """
 
     AXIOMS = ("nonempty-sums", "associativity")
@@ -315,24 +338,80 @@ class AxiomCircuit:
         regs = np.where(filled & (v == true), u, false)
         regs[paired] = t + 2 + pair_ids
         # side_regs[c, i]: the register of the c-th term of side i; blanks sort last and read false
-        self.side_regs = regs[:, : max(int(filled.sum(axis=1).max(initial=0)), 1)].T
+        self.side_regs = np.ascontiguousarray(
+            regs[:, : max(int(filled.sum(axis=1).max(initial=0)), 1)].T
+        )
         self.pair_regs = np.stack(np.divmod(pairs[:, 0], k))
+        # failures gathers with mode="clip", so every index is range-checked here, once
+        for index, bound in [
+            (self.pair_regs, t),
+            (self.side_regs, t + 2 + len(pairs)),
+            *((pair, len(sides)) for pair in self.equalities),
+        ]:
+            if index.size and not 0 <= index.min() <= index.max() < bound:
+                raise RuntimeError(f"an axiom circuit index of {bp.group} is out of range")
+        # workspace rows: the registers, the sides, and two blocks of gathered operands
+        operands = max(len(pairs), len(sides), *(pair.shape[1] for pair in self.equalities))
+        self._blocks = t  # register rows of block bits; the constants true and false follow
+        self._rows = (t + 2 + len(pairs), len(sides), operands, operands)
+        self._space = np.empty(0, dtype=np.uint64)
+        self._width = -1
+        self._views: list[np.ndarray] = []
 
     def failures(self, words: np.ndarray) -> np.ndarray:
         """First failing axiom of 64 candidates a word, words[i] holding block bit i.
 
-        Returns words of shape (2, words.shape[1]); bit j of [i, w] is set
-        when AXIOMS[i] is the first axiom that the candidate at bit j of
-        word w fails.  Every other axiom holds on each union of blocks.
+        Returns a fresh array of words of shape (2, words.shape[1]); bit j
+        of [i, w] is set when AXIOMS[i] is the first axiom that the
+        candidate at bit j of word w fails.  Every other axiom holds on
+        each union of blocks.  The registers, sides and operands live in
+        the circuit's own workspace, so a circuit is not reentrant: one
+        call at a time.
         """
-        ones = np.full((1, words.shape[1]), ~np.uint64(0))
-        pair_ands = words[self.pair_regs[0]] & words[self.pair_regs[1]]
-        regs = np.concatenate([words, ones, ~ones, pair_ands])
-        sides = np.bitwise_or.reduce(regs[self.side_regs], axis=0)
-        empty, unassociative = (
-            np.bitwise_or.reduce(sides[a] ^ sides[b], axis=0) for a, b in self.equalities
-        )
-        return np.stack([empty, unassociative & ~empty])
+        t = self._blocks
+        if words.ndim != 2 or len(words) != t:
+            raise ValueError(f"expected {t} rows of block words, got shape {words.shape}")
+        regs, sides, left, right = self._workspace(words.shape[1])
+        blocks, pairs = regs[:t], regs[t + 2 :]
+        blocks[...] = words
+        np.take(blocks, self.pair_regs[0], axis=0, out=pairs, mode="clip")
+        np.take(blocks, self.pair_regs[1], axis=0, out=left[: len(pairs)], mode="clip")
+        pairs &= left[: len(pairs)]
+        # each side ORs its term registers, gathered one column of side_regs at a time
+        np.take(regs, self.side_regs[0], axis=0, out=sides, mode="clip")
+        for column in self.side_regs[1:]:
+            np.take(regs, column, axis=0, out=left[: len(sides)], mode="clip")
+            sides |= left[: len(sides)]
+        out = np.empty((2, words.shape[1]), dtype=np.uint64)
+        for row, (a, b) in zip(out, self.equalities):
+            differ, other = left[: len(a)], right[: len(b)]
+            np.take(sides, a, axis=0, out=differ, mode="clip")
+            np.take(sides, b, axis=0, out=other, mode="clip")
+            differ ^= other
+            np.bitwise_or.reduce(differ, axis=0, out=row)
+        out[1] &= ~out[0]
+        return out
+
+    def _workspace(self, n: int) -> list[np.ndarray]:
+        """The workspace as (rows, n) views of one buffer, grown to the widest call so far.
+
+        np.take copies into a temporary when its out is not C-contiguous or
+        its bounds overlap the input's, so each view is its own contiguous
+        stretch of the buffer.  The constant registers are refilled
+        whenever the width changes.
+        """
+        if n != self._width:
+            if self._space.size < sum(self._rows) * n:
+                self._space = np.empty(sum(self._rows) * n, dtype=np.uint64)
+            ends = np.cumsum((0, *self._rows)) * n
+            self._views = [
+                self._space[lo:hi].reshape(rows, n)
+                for lo, hi, rows in zip(ends[:-1], ends[1:], self._rows)
+            ]
+            self._views[0][self._blocks] = ~np.uint64(0)
+            self._views[0][self._blocks + 1] = 0
+            self._width = n
+        return self._views
 
 
 def _ample_screen(bp: BlockPartition, words: np.ndarray) -> np.ndarray:
@@ -340,15 +419,20 @@ def _ample_screen(bp: BlockPartition, words: np.ndarray) -> np.ndarray:
 
     Each pi row's weight is summed in a ripple counter of bit planes, the
     counter compared with r // 2 + 1 from its low plane up, and the
-    comparisons ANDed over the rows.
+    comparisons ANDed over the rows.  The first y + 1 inputs count to at
+    most y + 1, which needs (y + 1).bit_length() planes, so a plane is
+    added as the carry out of the top one when the count first reaches a
+    power of two.
     """
     r = bp.r
-    pi = words[bp.block_index]  # [x, y, word]
-    planes = [np.zeros_like(pi[:, 0]) for _ in range(r.bit_length())]
+    columns = words[bp.block_index.T]  # [y, x, word]: pi column y is one contiguous block
+    planes: list[np.ndarray] = []
     for y in range(r):
-        carry = pi[:, y]
+        carry = columns[y]
         for i, plane in enumerate(planes):
             planes[i], carry = plane ^ carry, plane & carry
+        if (y + 1).bit_length() > len(planes):
+            planes.append(carry)
     least = r // 2 + 1
     # at_least: the counter's planes below i read at least least's bits below i
     at_least = np.full_like(planes[0], ~np.uint64(0))
@@ -460,7 +544,7 @@ def _key_weights(bp: BlockPartition) -> np.ndarray:
     Its keys are exact for b <= KEY_BITS, the only partitions it serves.
     Built once per partition and shared, so read-only.
     """
-    weights = np.ldexp(1.0, bp.b - 1 - block_permutations(bp))
+    weights = np.ldexp(1.0, bp.b - 1 - _shared_permutations(bp))
     weights.flags.writeable = False
     return weights
 
@@ -556,7 +640,7 @@ def _union_keys(
     its blocks i.  Up to KEY_BITS blocks the keys are float64, from
     _key_weights; past it, for each automorphism s, block bit i is moved
     to column b-1-s(i) and the columns packed into one Python int, exact
-    at any b.
+    at any b.  Both read the partition's shared block permutations.
     """
     union, bits = union_block_bits(bp, candidates)
     unions = np.flatnonzero(union)
@@ -565,7 +649,7 @@ def _union_keys(
         return unions, _orbit_keys(_key_weights(bp), bits.T)
     keys: list[int] | None = None
     moved = np.empty_like(bits)
-    for perm in block_permutations(bp):
+    for perm in _shared_permutations(bp):
         moved[:, bp.b - 1 - perm] = bits
         own = row_ints(moved)
         keys = own if keys is None else list(map(min, keys, own))

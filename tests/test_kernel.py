@@ -4,8 +4,12 @@ The kernel must name the same first failing axiom as verify_axioms on
 every block union (exhaustively up to order 6, on hypothesis draws up to
 order 12).  It compiles only nonempty sums and associativity, which rests
 on block_index being invariant under both block moves, checked here up
-to order 16.  The words written from Gray-code positions must be the bits
-of t ^ (t >> 1), and the bit-sliced ample screen must agree with is_ample.
+to order 16.  The circuit's workspace evaluation must give the words of
+the one-gather evaluation it replaced, kept here as the reference, on
+every partition up to order 16.  The words written from Gray-code
+positions must be the bits of t ^ (t >> 1), and the bit-sliced ample
+screen must agree with is_ample, also at the orders where its counter
+adds its last plane.
 """
 
 from functools import cache
@@ -79,6 +83,58 @@ def test_kernel_matches_scalar_on_drawn_block_unions(spec, m1, data):
     masks = data.draw(st.lists(st.integers(0, (1 << bp.b) - 1), min_size=1, max_size=12))
     expected = [verify_axioms(build_candidate(bp, m)).axiom for m in masks]
     assert first_failures(bp, circuit, masks) == expected
+
+
+def one_gather_failures(circuit, words):
+    """AxiomCircuit.failures as one gather: a fresh register file and a
+    (width x sides x words) temporary per call."""
+    ones = np.full((1, words.shape[1]), ~np.uint64(0))
+    pair_ands = words[circuit.pair_regs[0]] & words[circuit.pair_regs[1]]
+    regs = np.concatenate([words, ones, ~ones, pair_ands])
+    sides = np.bitwise_or.reduce(regs[circuit.side_regs], axis=0)
+    empty, unassociative = (
+        np.bitwise_or.reduce(sides[a] ^ sides[b], axis=0) for a, b in circuit.equalities
+    )
+    return np.stack([empty, unassociative & ~empty])
+
+
+@pytest.mark.parametrize("spec,m1", partitions(1, 16))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_workspace_kernel_matches_one_gather_on_drawn_chunks(spec, m1, data):
+    # spans start and end inside words, and run over up to three chunks,
+    # through a cached circuit that has served other widths before
+    bp, circuit = block_circuit(spec, m1)
+    total = 1 << bp.b
+    length = min(total, data.draw(st.one_of(st.integers(1, 200), st.integers(200, 3 << CHUNK_BITS))))
+    lo = data.draw(st.integers(0, total - length))
+    for _, words, _, _ in _chunks(bp, (lo, lo + length)):
+        got = circuit.failures(words)
+        expected = one_gather_failures(circuit, words)
+        assert got.shape == expected.shape and (got == expected).all()
+
+
+@pytest.mark.parametrize("spec,m1", [("Z9", 0), ("Z2xZ2xZ4", 2), ("Z16", 8)])
+def test_one_circuit_takes_successive_widths(spec, m1):
+    # the workspace is sized by the widest call, a narrower call uses a view
+    # of it, and no result is a view of it: each kept result stays as it was
+    bp = compute_blocks(AbelianGroup.from_spec(spec), m1)
+    circuit = AxiomCircuit(bp)
+    rng = np.random.default_rng(len(spec) + m1)
+    kept = []
+    for width in (256, 3, 1, 256, 3):
+        # unions of about a quarter of the blocks: both axioms fail on some
+        words = rng.integers(0, 1 << 64, (2, bp.b, width), dtype=np.uint64)
+        words = words[0] & words[1]
+        got = circuit.failures(words)
+        assert (got == one_gather_failures(circuit, words)).all()
+        if width == 256:
+            assert got.any(axis=1).all()
+        for before, copy in kept:
+            assert (before == copy).all()
+        kept.append((got, got.copy()))
+    with pytest.raises(ValueError):
+        circuit.failures(words[:-1])
 
 
 def test_identities_compile_away():
@@ -156,7 +212,19 @@ def test_ample_screen_matches_is_ample_on_every_small_block_union(spec, m1):
     assert screen_flags(bp, masks).tolist() == [is_ample(build_candidate(bp, m)) for m in masks]
 
 
-@pytest.mark.parametrize("spec,m1", partitions(7, 11))
+# after y + 1 inputs the counter holds (y + 1).bit_length() planes, so its
+# last plane is added at r = 1, 2, 4, 8 and 16.  Orders 1 and 3 are checked
+# on every union above and 7 and 8 on drawn ones below; 15 and 16 complete
+# the orders that end just before or on a step
+PLANE_STEPS = [
+    (g.spec_string(), orbit[0])
+    for g in abelian_groups_up_to(16)
+    if g.order in (15, 16)
+    for orbit in g.minus_one_orbits()
+]
+
+
+@pytest.mark.parametrize("spec,m1", partitions(7, 11) + PLANE_STEPS)
 @settings(max_examples=15)
 @given(data=st.data())
 def test_ample_screen_matches_is_ample_on_drawn_block_unions(spec, m1, data):

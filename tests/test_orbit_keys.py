@@ -227,6 +227,53 @@ def test_union_keys_of_z256_quotients_stay_small():
         assert key == min(int(row.tobytes(), 2) for row in text)
 
 
+def counted_permutations(monkeypatch):
+    """Count the block_permutations calls the census makes, starting from an empty cache."""
+    calls = []
+
+    def counted(bp):
+        calls.append(bp)
+        return block_permutations(bp)
+
+    monkeypatch.setattr(census, "block_permutations", counted)
+    monkeypatch.setattr(census, "_PERMUTATIONS", {})
+    return calls
+
+
+def test_union_keys_enumerate_the_permutations_once(monkeypatch):
+    # past KEY_BITS the keys are packed through the automorphisms' block
+    # permutations; one shared, read-only table serves both lookups
+    calls = counted_permutations(monkeypatch)
+    bp = partition("Z17", 0)
+    assert bp.b > census.KEY_BITS
+    candidates = [build_candidate(bp, m) for m in (1, (1 << bp.b) - 1, 5 << 40)]
+    first = census._union_keys(bp, candidates)
+    second = census._union_keys(bp, candidates)
+    assert calls == [bp]
+    assert [a.tolist() for a in first] == [a.tolist() for a in second]
+    with pytest.raises(ValueError):
+        census._shared_permutations(bp)[0, 0] = 0
+
+
+def test_shared_permutations_stay_under_their_entry_bound(monkeypatch):
+    # the bound counts int32 entries (|A| x b per partition), not partitions:
+    # here it holds Z17's 16 x 57 and Z19's 18 x 70 but not Z23's 22 x 100 too
+    calls = counted_permutations(monkeypatch)
+    z17, z19, z23 = (partition(spec, 0) for spec in ("Z17", "Z19", "Z23"))
+    monkeypatch.setattr(census, "COEFF_ENTRY_BOUND", 16 * 57 + 22 * 100)
+    for bp in (z17, z19, z17, z23, z17, z19):
+        perms = census._shared_permutations(bp)
+        assert perms.tolist() == block_permutations(bp).tolist()
+        assert sum(t.size for t in census._PERMUTATIONS.values()) <= census.COEFF_ENTRY_BOUND
+    # Z19 went first, as the least recently used, and came back; Z23 made way for it
+    assert calls == [z17, z19, z23, z19]
+    assert list(census._PERMUTATIONS) == [z17, z19]
+    # a table larger than the bound is handed out but not kept
+    monkeypatch.setattr(census, "COEFF_ENTRY_BOUND", 22 * 100 - 1)
+    census._shared_permutations(z23)
+    assert calls[-1] == z23 and z23 not in census._PERMUTATIONS
+
+
 @pytest.mark.parametrize("spec,m1", [("Z7", 0), ("Z2xZ4", 2), ("Z3", 0), ("Z2xZ2", 1)])
 def test_dedup_mixes_unions_and_other_relations(spec, m1):
     # unions are keyed by block-orbit key, the rest by canonical_form; the

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapacityError
-from .hyperfields import HyperfieldCandidate, bit_rows, is_ample, row_ints
+from .hyperfields import HyperfieldCandidate, bit_rows, is_ample
 
 BRUTE_BUDGET = 10_000_000
 PILE_BUDGET = 1_000_000
@@ -28,15 +28,15 @@ class SolverInvariantError(Exception):
     """The structured solver reached a state its own reasoning forbids."""
 
 
-@dataclass(frozen=True, slots=True)
-class LinearSystem:
+class LinearSystem(NamedTuple):
     """Equations given as dense coefficient tuples of element indices.
 
     Index r (the zero slot of the parent hyperfield) is a zero
     coefficient, so a plain field equation like x - y = 0 over a group of
     order r appears as (0, minus_one, r, ..., r).  A system built
     directly must hold tuples, since the solver keys its equation plans
-    by them; make builds tuples from any integer sequences.
+    by them; make builds tuples from any integer sequences.  Being a
+    named tuple, a system equals the plain tuple (n_vars, equations).
     """
 
     n_vars: int
@@ -188,10 +188,13 @@ def _holds(t: _Tables, planned, assignment) -> bool:
 
 
 def check(h: HyperfieldCandidate, system: LinearSystem, assignment) -> bool:
-    """True when every equation's term sum contains zero."""
+    """True when every equation's term sum contains zero; the assignment's
+    entries are element indices 0..r, r being zero."""
     if len(assignment) != system.n_vars:
         raise ValueError("assignment length does not match variable count")
     t = _tables(h)
+    if not all(0 <= x <= t.zero for x in assignment):
+        raise ValueError(f"assignment entries are element indices 0..{t.zero}, got {tuple(assignment)}")
     return _holds(t, _planned(t, system), assignment)
 
 
@@ -227,16 +230,6 @@ def brute_force_solve(
 # -- structured solver ---------------------------------------------------------
 
 
-def _pick(mask: int, zero: int) -> int:
-    """Least nonzero element of a set, falling back to zero."""
-    nonzero = mask & ~(1 << zero)
-    if nonzero:
-        return (nonzero & -nonzero).bit_length() - 1
-    if mask & (1 << zero):
-        return zero
-    raise SolverInvariantError("empty solution set")
-
-
 def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]:
     """Nontrivial solution of a system with fewer equations than variables.
 
@@ -256,25 +249,30 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
     and the sum of the constants that assigned variables contributed,
     None while there are none.  Every rule is one read from the candidate's
     tables: a pin reads its solution set -rest/c from the solved table, a
-    tie reads its factor -c1/c2 from the -x/c rows.  Ties live in a flat
-    map from each tied variable straight to its root and factor; a tie
-    relabels the entries that pointed at the variable it ties.
+    tie reads its factor -c1/c2 from the -x/c rows.  Per-variable lists
+    hold ties and values: x_var = factors[var] * x_roots[var] for a tied
+    variable, roots[var] is None for a root, a tie relabels the variables
+    that pointed at the one it ties, and values[root] is None until set.
     """
-    t = _tables(h)
-    zero, prod, add, ample, sums, negdiv, solved, _ = t
+    zero, prod, add, ample, sums, negdiv, solved, plans = t = _tables(h)
     if not ample:
         raise ValueError("solver requires an ample hyperfield")
-    n, k = system.n_vars, len(system.equations)
-    if k >= n:
-        raise ValueError(f"need fewer equations than variables, got {k} >= {n}")
-    planned = _planned(t, system)
+    n, equations = system
+    if len(equations) >= n:
+        raise ValueError(f"need fewer equations than variables, got {len(equations)} >= {n}")
+    planned, pending = [], []
+    for eq in equations:
+        if len(eq) != n:
+            raise ValueError("ragged equation lengths")
+        support = plans.get(eq)
+        if support is None:
+            support = _plan(t, eq)
+        planned.append((eq, support))
+        pending.append((eq, support, None))
     zero_bit = 1 << zero
 
-    tied: dict[int, tuple[int, int]] = {}  # var -> (root, factor): x_var = factor * x_root
-    assignment: dict[int, int] = {}  # root var -> element
+    roots, factors, values = [None] * n, [0] * n, [None] * n
     settled = False  # until something is pinned or tied, every equation is normal
-
-    pending = [(eq, support, None) for eq, support in planned]
     deferred = []  # (variable, its residue rows and their supports), unwound in reverse
 
     # Every pass but the last drops an equation or settles the variables
@@ -288,12 +286,12 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
                 # through the sum of their coefficients
                 old, row = row, [zero] * n
                 for var in terms:
-                    coeff = old[var]
-                    if var in tied:
-                        var, factor = tied[var]
-                        coeff = prod[coeff][factor]
-                    if var in assignment:
-                        e = prod[coeff][assignment[var]]
+                    coeff, root = old[var], roots[var]
+                    if root is not None:
+                        coeff, var = prod[coeff][factors[var]], root
+                    value = values[var]
+                    if value is not None:
+                        e = prod[coeff][value]
                         if e != zero:
                             rest = sums[zero_bit if rest is None else rest][e]
                     elif row[var] == zero:
@@ -302,7 +300,10 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
                         merged = add[row[var]][coeff]
                         # cancellation is available, take it
                         row[var] = zero if merged & zero_bit else (merged & -merged).bit_length() - 1
-                terms = [var for var, coeff in enumerate(row) if coeff != zero]
+                terms = []
+                for var, coeff in enumerate(row):
+                    if coeff != zero:
+                        terms.append(var)
             weight = len(terms)
             if weight > 2:
                 kept.append((row, terms, rest))
@@ -312,23 +313,27 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
             if weight == 2 and rest is not None:
                 # anchor the lower variable at 1, which leaves a pin of the other
                 var, terms, weight = terms[0], terms[1:], 1
-                assignment[var] = 0
+                values[var] = 0
                 rest = sums[rest][row[var]]
             if weight == 0:
                 if rest is not None and not rest & zero_bit:
                     raise SolverInvariantError("constant equation misses zero")
             elif weight == 1:
                 var = terms[0]
-                assignment[var] = _pick(solved[row[var], zero_bit if rest is None else rest], zero)
+                mask = solved[row[var], zero_bit if rest is None else rest]
+                nonzero = mask & ~zero_bit
+                if not mask:
+                    raise SolverInvariantError("empty solution set")
+                values[var] = (nonzero & -nonzero).bit_length() - 1 if nonzero else zero
                 settled = True
             else:
                 v1, v2 = terms
                 # zero in c1 x1 + c2 x2 exactly when x2 = -c1/c2 * x1
                 factor = negdiv[row[v2]][row[v1]]
-                for var, (root, f) in tied.items():
+                for var, root in enumerate(roots):
                     if root == v2:
-                        tied[var] = (v1, prod[f][factor])
-                tied[v2] = (v1, factor)
+                        roots[var], factors[var] = v1, prod[factors[var]][factor]
+                roots[v2], factors[v2] = v1, factor
                 settled = True
         dropped = len(kept) < len(pending)
         pending = kept
@@ -344,23 +349,26 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
                 occurrences[var] += 1
         for var, count in enumerate(occurrences):
             if 0 < count <= 2:
-                deferred.append((var, [(row, terms) for row, terms in residue if row[var] != zero]))
-                pending = [
-                    (row, terms, rest)
-                    for row, terms, rest in pending
-                    if rest is not None or row[var] == zero or len(terms) != 3
-                ]
+                # the variable's residue rows leave with it, in their order
+                rows, pending = [], []
+                for entry in kept:
+                    row, terms, rest = entry
+                    if rest is None and len(terms) == 3 and row[var] != zero:
+                        rows.append((row, terms))
+                    else:
+                        pending.append(entry)
+                deferred.append((var, rows))
                 break
         else:
             # the pile's equations turn constant and drop in the next pass
-            _solve_pile(t, residue, assignment)
+            _solve_pile(t, residue, values)
             settled = True
 
     # equations still present all have weight >= 4 and at least three
     # variable terms; nonzero defaults satisfy them
-    for var in range(n):
-        if var not in tied and var not in assignment:
-            assignment[var] = 0
+    for var, root in enumerate(roots):
+        if root is None and values[var] is None:
+            values[var] = 0
 
     for var, rows in reversed(deferred):
         mask = (zero_bit << 1) - 1  # every element
@@ -368,15 +376,17 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
             rest = zero_bit
             for v in terms:
                 if v != var:
-                    rest = sums[rest][prod[row[v]][assignment[v]]]
+                    rest = sums[rest][prod[row[v]][values[v]]]
             mask &= solved[row[var], rest]
         if not mask:
             raise SolverInvariantError("deferred variable has no consistent value")
-        assignment[var] = _pick(mask, zero)
+        nonzero = mask & ~zero_bit
+        values[var] = (nonzero & -nonzero).bit_length() - 1 if nonzero else zero
 
-    for var, (root, factor) in tied.items():
-        assignment[var] = prod[factor][assignment[root]]
-    solution = tuple([assignment[var] for var in range(n)])
+    for var, root in enumerate(roots):
+        if root is not None:
+            values[var] = prod[factors[var]][values[root]]
+    solution = tuple(values)
     # the solver's correctness gate: nontrivial, and zero in every
     # equation's sum; the system was validated on entry
     if solution.count(zero) == n or not _holds(t, planned, solution):
@@ -384,10 +394,10 @@ def ample_solve(h: HyperfieldCandidate, system: LinearSystem) -> tuple[int, ...]
     return solution
 
 
-def _solve_pile(t: _Tables, pile: list, assignment: dict[int, int]) -> None:
+def _solve_pile(t: _Tables, pile: list, values: list) -> None:
     """Exhaust a residue, (row, support) pairs, where every variable meets
-    three or more equations; nonzero values are tried first, the all-zero
-    assignment is the final resort and always works."""
+    three or more equations, into values: nonzero values are tried first,
+    the all-zero assignment is the final resort and always works."""
     zero, prod, sums = t.zero, t.prod, t.sums
     terms = [[(v, row[v]) for v in support] for row, support in pile]
     pile_vars = sorted({v for row_terms in terms for v, _ in row_terms})
@@ -395,16 +405,16 @@ def _solve_pile(t: _Tables, pile: list, assignment: dict[int, int]) -> None:
     if total > PILE_BUDGET:
         raise CapacityError(f"pile of {len(pile_vars)} variables exceeds the search budget")
     zero_bit = 1 << zero
-    for values in product(range(zero + 1), repeat=len(pile_vars)):  # zero, index r, comes last
-        trial = dict(zip(pile_vars, values))
+    for trial in product(range(zero + 1), repeat=len(pile_vars)):  # zero, index r, comes last
+        for v, x in zip(pile_vars, trial):
+            values[v] = x
         for row_terms in terms:
             term_sum = zero_bit
             for v, c in row_terms:
-                term_sum = sums[term_sum][prod[c][trial[v]]]
+                term_sum = sums[term_sum][prod[c][values[v]]]
             if not term_sum & zero_bit:
                 break
         else:
-            assignment.update(trial)
             return
     raise SolverInvariantError("pile admits no assignment, not even zero")
 
@@ -430,8 +440,9 @@ def iter_normalized_systems(h: HyperfieldCandidate, n_max: int):
     for n in range(2, n_max + 1):
         eqs = normalized_equations(h, n)
         for k in range(1, n):
-            for combo in combinations_with_replacement(eqs, k):
-                yield LinearSystem(n, combo)
+            # tuple.__new__ is what LinearSystem(n, combo) calls, minus a Python frame per system
+            combos = combinations_with_replacement(eqs, k)
+            yield from map(tuple.__new__, repeat(LinearSystem), zip(repeat(n), combos))
 
 
 @dataclass(frozen=True)
@@ -447,6 +458,20 @@ class FetvinsReport:
         return f"counterexample with {self.counterexample.n_vars} variables"
 
 
+def _extended(blocks, sat, cap: int):
+    """Blocks of (partial ANDs, equation combos) in combinations_with_replacement
+    order, each combo extended by every equation j >= its last, cut into blocks of
+    at most cap rows; a prefix's AND is taken once for all its extensions."""
+    m = len(sat)
+    for ands, combos in blocks:
+        ends = np.cumsum(m - combos[:, -1])  # row s's extensions end at ends[s]
+        for lo in range(0, int(ends[-1]), cap):
+            pos = np.arange(lo, min(lo + cap, int(ends[-1])))
+            s = np.searchsorted(ends, pos, side="right")
+            j = pos - ends[s] + m
+            yield ands[s] & sat[j], np.column_stack([combos[s], j])
+
+
 def check_fetvins(
     h: HyperfieldCandidate, n_max: int = 3, budget: int = BRUTE_BUDGET
 ) -> FetvinsReport:
@@ -460,12 +485,14 @@ def check_fetvins(
     elements c_i x_i come from the (r+1) x (r+1) product table, so the
     bitset of assignments satisfying it is one gather from the zero-sum
     table.  A system is solvable exactly when the intersection of its
-    equations' bitsets contains more than the all-zero assignment.  The
-    budget bounds assignments times equations and is checked before the
-    equations are listed or any table is built, and it bounds the one
-    array that holds more than (r+1)^(n+1) entries: every equation's
-    bits, gathered at once by broadcasting each variable's column of term
-    elements along its own axis.
+    equations' packed bitsets, the all-zero assignment's bit cleared, is
+    not empty; the systems of k equations are array ANDs, each from its
+    prefix's, in combinations_with_replacement order, so the first empty
+    row is the first counterexample.  The budget bounds assignments times
+    equations and is checked before the equations are listed or any table
+    is built; it bounds every equation's bits, gathered at once by
+    broadcasting each variable's column of term elements along its own
+    axis, and each block of partial ANDs to budget / (r+1)^n rows.
     """
     r = h.r
     checked = 0
@@ -488,21 +515,24 @@ def check_fetvins(
         else:
             sums = (sums @ add_bits.reshape(r + 1, -1)).reshape(-1, r + 1)
         zero_sum = (sums @ add_bits[:, :, t.zero]).reshape((r + 1,) * n)
-        # bits[j, a_1, ..., a_n]: whether equation j holds at the assignment (a_1, ..., a_n)
+        # sat[j, (a_1, ..., a_n)]: whether equation j holds at the assignment, row-major
         coeffs = np.array(eqs)
         index = tuple(
             terms[coeffs[:, i]].reshape((-1,) + (1,) * i + (r + 1,) + (1,) * (n - 1 - i))
             for i in range(n)
         )
-        sat = row_ints(zero_sum[index].reshape(len(eqs), -1))
-        trivial_bit = 1  # assignment 0 is all-zero
+        sat = zero_sum[index].reshape(len(eqs), -1)
+        sat[:, 0] = False  # assignment 0 is the all-zero one
+        sat = np.packbits(sat, axis=1)
         for k in range(1, n):
-            for combo in combinations_with_replacement(range(len(eqs)), k):
-                m = sat[combo[0]]
-                for i in combo[1:]:
-                    m &= sat[i]
-                checked += 1
-                if not m & ~trivial_bit:
-                    system = LinearSystem(n, tuple(eqs[i] for i in combo))
-                    return FetvinsReport(False, n_max, checked, system)
+            blocks = [(sat, np.arange(len(eqs))[:, None])]
+            for _ in range(k - 1):
+                blocks = _extended(blocks, sat, max(1, budget // total))
+            for ands, combos in blocks:
+                solvable = ands.any(axis=1)
+                if not solvable.all():
+                    first = int(solvable.argmin())
+                    system = LinearSystem(n, tuple(eqs[i] for i in combos[first].tolist()))
+                    return FetvinsReport(False, n_max, checked + first + 1, system)
+                checked += len(ands)
     return FetvinsReport(True, n_max, checked, None)

@@ -153,29 +153,12 @@ class FiniteField:
 
     # -- discrete logs --
 
-    def _times(self, a, w) -> np.ndarray:
-        """Packed products a * w, elementwise over broadcast arrays of
-        packed elements.  Extension fields shift w's digit array up one
-        power of x per digit of a, reducing by the modulus as they go."""
-        p, k = self.p, self.k
-        a, w = np.asarray(a, dtype=np.int64), np.asarray(w, dtype=np.int64)
-        if k == 1:
-            return a * w % p
-        weights = p ** np.arange(k, dtype=np.int64)
-        low = np.array(self.modulus[:k], dtype=np.int64)
-        a_digits = a[..., None] // weights % p
-        shifted = w[..., None] // weights % p  # digits of w * x^i, from i = 0 up
-        acc = 0
-        for i in range(k):
-            acc = acc + a_digits[..., i : i + 1] * shifted
-            top = shifted[..., -1:]
-            shifted = np.concatenate([np.zeros_like(top), shifted[..., :-1]], axis=-1)
-            shifted = (shifted - top * low) % p  # x^k = -(the modulus below x^k)
-        return (acc % p) @ weights
-
     def _build_log_tables(self) -> None:
         """The least packed primitive element >= 2, and exp / log arrays
-        built from it by doubling: exp[L:2L] = times(g^L)[exp[:L]]."""
+        built from it by doubling: exp[L:2L] = g^L * exp[:L].  In an
+        extension field times g^L is linear on digit vectors over GF(p), so
+        a step is one product of the digits of exp[:L] with the k x k matrix
+        whose row i holds the digits of g^L * x^i, mod p."""
         q = self.q
         n = q - 1
         cofactors = [n // ell for ell in _prime_factors(n)] if n > 1 else []
@@ -185,13 +168,20 @@ class FiniteField:
         self.generator = zeta = next(
             (z for z in range(start, q) if all(self.power(z, e) != 1 for e in cofactors)), 1
         )
-        exp = np.ones(n, dtype=np.int64)
+        p, k = self.p, self.k
+        digits = np.zeros((n, k), dtype=np.int64)  # row i: the digits of g^i, low to high
+        digits[0, 0] = 1
         length, step = 1, zeta  # step = g^length
         while length < n:
             m = min(length, n - length)
-            exp[length : length + m] = self._times(step, exp[:m])
+            if k == 1:
+                digits[length : length + m] = digits[:m] * step % p
+            else:
+                matrix = np.array([self._digits_of(self.mul(step, p**i), k) for i in range(k)])
+                digits[length : length + m] = digits[:m] @ matrix % p
             length *= 2
-            step = int(self._times(step, step))
+            step = self.mul(step, step)
+        exp = digits[:, 0] if k == 1 else digits @ p ** np.arange(k, dtype=np.int64)
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(n)
         exp.flags.writeable = log.flags.writeable = False

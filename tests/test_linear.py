@@ -61,6 +61,31 @@ def test_make_validation():
             LinearSystem.make([[0, bad, 1]])
 
 
+def test_linear_system_contract():
+    """Two fields, immutable, equal and hashed by value, and make's refusals."""
+    s = LinearSystem.make([[0, 1, 3], (2, 3, 0)])
+    assert (s.n_vars, s.equations) == (3, ((0, 1, 3), (2, 3, 0)))
+    assert list(LinearSystem.__annotations__) == ["n_vars", "equations"]
+    assert all(type(eq) is tuple for eq in s.equations)
+    same = LinearSystem(3, ((0, 1, 3), (2, 3, 0)))
+    assert s == same and hash(s) == hash(same) and len({s, same}) == 1
+    assert s != LinearSystem(4, s.equations) and s != LinearSystem(3, s.equations[:1])
+    for field in ("n_vars", "equations"):
+        with pytest.raises(AttributeError):
+            setattr(s, field, None)
+    with pytest.raises((AttributeError, TypeError)):
+        s.extra = 1
+    assert LinearSystem.make([], n_vars=2) == LinearSystem(2, ())
+    for bad, error in ((1.5, TypeError), (True, TypeError), ("2", TypeError), (-1, ValueError)):
+        with pytest.raises(error):
+            LinearSystem.make([[0, bad, 1]])
+    with pytest.raises(ValueError, match="ragged"):
+        LinearSystem.make([[0, 1], [0]])
+    counterexample = FetvinsReport(False, 3, 10, LinearSystem.make([[0, 1, 1]]))
+    assert counterexample == FetvinsReport(False, 3, 10, LinearSystem(3, ((0, 1, 1),)))
+    assert counterexample != FetvinsReport(False, 3, 10, LinearSystem(3, ((0, 1, 2),)))
+
+
 def test_coefficient_range_checked(z3_named):
     h = z3_named["BC"]
     with pytest.raises(ValueError):
@@ -70,6 +95,16 @@ def test_coefficient_range_checked(z3_named):
     for call in (ample_solve, brute_force_solve, lambda h, s: check(h, s, (0, 0))):
         with pytest.raises(ValueError, match="must be >= 0"):
             call(h, negative)
+
+
+def test_assignment_range_checked(z3_named):
+    # -1 would read the product row from its end, the zero slot, and 7 past it
+    h = z3_named["BC"]
+    system = LinearSystem.make([[0, 0, 3]])
+    assert check(h, system, brute_force_solve(h, system))
+    for assignment in ((-1, -1, 0), (0, 7, 0), (0, 0, 4)):
+        with pytest.raises(ValueError, match=r"element indices 0\.\.3"):
+            check(h, system, assignment)
 
 
 def test_equation_length_must_match_variable_count(z3_named):
@@ -531,6 +566,20 @@ def test_check_fetvins_matches_reference_on_small_block_unions():
     assert len(reports) == 26
     assert all(got == want for got, want in reports)
     assert sum(not got.ok for got, _ in reports) == 5
+
+
+def test_check_fetvins_matches_reference_at_three_equations():
+    """n_max = 4 carries the pairs' ANDs to three equations: every block
+    union of order <= 2, and unions of Z3 where B and C fail only there."""
+    z3 = compute_blocks(AbelianGroup.from_spec("Z3"), 0)
+    cases = [h for h in block_unions_up_to_3() if h.r <= 2]
+    cases += [from_labels(z3, labels) for labels in ("", "B", "C", "BC", "BD")]
+    reports = [(check_fetvins(h, 4), fetvins_reference(h, 4)) for h in cases]
+    assert all(got == want for got, want in reports)
+    deepest = [got for got, _ in reports if not got.ok and len(got.counterexample.equations) == 3]
+    assert len(deepest) == 2
+    assert all(rep.systems_checked == 5467 and rep.counterexample.n_vars == 4 for rep in deepest)
+    assert sum(got.ok for got, _ in reports) == 9
 
 
 @settings(max_examples=20)

@@ -142,6 +142,24 @@ def test_field_tables_match_the_scalar_arithmetic():
             assert gen == f.power(g, r), (q, r)
 
 
+def test_extension_field_tables_step_by_the_scalar_mul():
+    """The exp table of every extension field with q <= 4,096, built by
+    k x k digit-matrix products, steps by one scalar mul of the generator,
+    and log inverts it."""
+    built = 0
+    for q in range(4, 4097):
+        pk = quotients._is_prime_power(q)
+        if pk is None or pk[1] == 1:
+            continue
+        f = FiniteField(q)
+        exp, log, g = f.exp.tolist(), f.log.tolist(), f.generator
+        assert exp[0] == 1 and all(f.mul(a, g) == b for a, b in zip(exp, exp[1:])), q
+        assert f.mul(exp[-1], g) == 1 and sorted(exp) == list(range(1, q)), q
+        assert log[0] == -1 and all(log[e] == i for i, e in enumerate(exp)), q
+        built += 1
+    assert built == 40
+
+
 @pytest.mark.parametrize("q, generator", [(59049, 34), (78125, 9), (83521, 307)])
 def test_generator_is_the_least_primitive_element_past_q_2000(q, generator):
     """The scalar search on extension fields of 3^10, 5^7 and 17^4 elements,

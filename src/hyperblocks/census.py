@@ -537,20 +537,13 @@ def _pi_strings(bp: BlockPartition, keys: np.ndarray) -> list[str]:
     return out
 
 
-@lru_cache(maxsize=64)
-def _key_weights(bp: BlockPartition) -> np.ndarray:
-    """weights[k, i] = 2^(b-1-s_k(i)) for the k-th automorphism s_k fixing -1, in float64.
+def _orbit_keys(bp: BlockPartition, bits: np.ndarray) -> np.ndarray:
+    """Block-orbit key of each column of 0/1 block bits: min over k of weights[k] @ bits,
+    where weights[k, i] = 2^(b-1-s_k(i)) for the k-th automorphism s_k fixing -1.
 
-    Its keys are exact for b <= KEY_BITS, the only partitions it serves.
-    Built once per partition and shared, so read-only.
+    The float64 keys are exact for b <= KEY_BITS, the only partitions it serves.
     """
     weights = np.ldexp(1.0, bp.b - 1 - _shared_permutations(bp))
-    weights.flags.writeable = False
-    return weights
-
-
-def _orbit_keys(weights: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Block-orbit key of each column of 0/1 block bits: min over k of weights[k] @ bits."""
     values = bits.astype(weights.dtype)
     keys = weights[0] @ values
     for w in weights[1:]:
@@ -580,7 +573,6 @@ def enumerate_subsets(
     cap = min(budget_bits, KEY_BITS)
     if bp.b > cap:
         raise CapacityError(f"2^{bp.b} subsets exceeds the 2^{cap} budget")
-    weights = _key_weights(bp)
     if span is None:
         span = shard_span(bp.b, 0, 1)
     found = ample_found = 0
@@ -592,7 +584,7 @@ def enumerate_subsets(
     for masks, bits, ample in _survivors(bp, mode, span):
         found += len(masks)
         ample_found += int(ample.sum())
-        keys = _orbit_keys(weights, bits).astype(dtype)
+        keys = _orbit_keys(bp, bits).astype(dtype)
         members = np.ones(len(keys), dtype=dtype)
         collected.append(_Columns(keys, members, masks.astype(dtype), ample))
         pending += len(keys)
@@ -638,7 +630,7 @@ def _union_keys(
     A key is the one enumerate_subsets gives the union's block mask, the
     least over automorphisms s fixing -1 of the sum of 2^(b-1-s(i)) over
     its blocks i.  Up to KEY_BITS blocks the keys are float64, from
-    _key_weights; past it, for each automorphism s, block bit i is moved
+    _orbit_keys; past it, for each automorphism s, block bit i is moved
     to column b-1-s(i) and the columns packed into one Python int, exact
     at any b.  Both read the partition's shared block permutations.
     """
@@ -646,7 +638,7 @@ def _union_keys(
     unions = np.flatnonzero(union)
     bits = bits[unions]
     if bp.b <= KEY_BITS:
-        return unions, _orbit_keys(_key_weights(bp), bits.T)
+        return unions, _orbit_keys(bp, bits.T)
     keys: list[int] | None = None
     moved = np.empty_like(bits)
     for perm in _shared_permutations(bp):

@@ -53,10 +53,10 @@ from .groups import AbelianGroup
 from .hyperfields import (
     HyperfieldCandidate,
     ample_params,
-    block_subset_of,
     build_candidate,
     is_ample,
-    is_union_of_blocks,
+    row_ints,
+    union_block_bits,
     verify_axioms,
 )
 from .linear import (
@@ -162,10 +162,8 @@ def _candidate_summary(h: HyperfieldCandidate) -> dict:
     d["group_spec"] = h.group.spec_string()
     d["minus_one_name"] = h.group.element_name(h.minus_one)
     bp = _shared_blocks(h.group, h.minus_one)
-    if is_union_of_blocks(h, bp):
-        d["blocks"] = bp.mask_labels(block_subset_of(h, bp))
-    else:
-        d["blocks"] = None
+    union, bits = union_block_bits(bp, [h])
+    d["blocks"] = bp.mask_labels(row_ints(bits)[0]) if union[0] else None
     return d
 
 
@@ -513,6 +511,8 @@ def cmd_fetvins(args, parser) -> int:
     candidates = _candidates(args, parser)
     if not candidates:
         parser.error("no candidate given")
+    if len(candidates) > 1:
+        parser.error(f"fetvins checks one candidate; the catalog holds {len(candidates)}")
     h = candidates[0]
     report = verify_axioms(h)
     if not report.ok:

@@ -14,6 +14,7 @@ the group elements, bit r is the zero element.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -25,15 +26,31 @@ STATUS_UNVERIFIED = "unverified"
 STATUS_VERIFIED = "verified-hyperfield"
 STATUS_CERTIFIED = "certified-ample"
 
-# the order verify_axioms checks in; reversibility is deliberately last
-AXIOM_ORDER = (
-    "nonempty-sums",
-    "commutativity",
-    "associativity",
-    "distributivity",
-    "unique-negatives",
-    "reversibility",
-)
+
+class _SumTable(dict):
+    """sums[mask][e] is the set sum mask + e, as a mask.
+
+    The row of a single element x is add(x, e) over e, built with the
+    table; any other row is the union of its members' rows, built when a
+    caller first asks for it and then kept.  No row is kept for a mask
+    that was only on the way to another, so the table grows only with
+    the masks its callers use.  It holds plain lists, not the candidate.
+    """
+
+    def __init__(self, h: HyperfieldCandidate):
+        n = h.r + 1
+        self.single = [[h.add(x, e) for e in range(n)] for x in range(n)]
+        super().__init__({1 << x: row for x, row in enumerate(self.single)})
+
+    def __missing__(self, mask: int) -> list[int]:
+        if mask >> len(self.single):
+            raise IndexError(f"mask {mask:#x} is not a set of the {len(self.single)} elements")
+        row = [0] * len(self.single)
+        for x, add_x in enumerate(self.single):
+            if mask >> x & 1:
+                row = [a | b for a, b in zip(row, add_x)]
+        self[mask] = row
+        return row
 
 
 @dataclass(eq=False)
@@ -113,30 +130,24 @@ class HyperfieldCandidate:
         z = self.group.mul(self.group.inv(y), x)
         return self.translate(self.p_set(z), y)
 
-    def add_table(self) -> list[list[int]]:
-        """Dense (r+1) x (r+1) table of add() masks, cached after first use."""
-        cached = getattr(self, "_table", None)
-        if cached is None:
-            n = self.r + 1
-            cached = [[self.add(x, y) for y in range(n)] for x in range(n)]
-            self._table = cached
-        return cached
+    @cached_property
+    def sums(self) -> _SumTable:
+        """The candidate's one sum table, built on first use."""
+        return _SumTable(self)
 
-    def set_add(self, mask_a: int, mask_b: int, table: list[list[int]] | None = None) -> int:
-        """Set-extended sum: union of e + f over elements of the two masks."""
-        if table is None:
-            table = self.add_table()
+    def add_table(self) -> list[list[int]]:
+        """Dense (r+1) x (r+1) table of add() masks: the sum table's single-element rows."""
+        return self.sums.single
+
+    def set_add(self, mask_a: int, mask_b: int) -> int:
+        """Set-extended sum: union of e + f over elements of the two masks,
+        read from the sum table's row of mask_a."""
+        row = self.sums[mask_a]
         out = 0
-        a = mask_a
-        while a:
-            la = a & -a
-            ea = la.bit_length() - 1
-            b = mask_b
-            while b:
-                lb = b & -b
-                out |= table[ea][lb.bit_length() - 1]
-                b ^= lb
-            a ^= la
+        while mask_b:
+            low = mask_b & -mask_b
+            out |= row[low.bit_length() - 1]
+            mask_b ^= low
         return out
 
     def elements_of(self, mask: int) -> tuple[int, ...]:
@@ -274,17 +285,13 @@ def verify_axioms(h: HyperfieldCandidate) -> VerificationReport:
         if table[z][0] != table[0][z]:
             return _fail(h, "commutativity", (z, 0), f"{h.element_name(z)} + 1 != 1 + {h.element_name(z)}")
 
-    # associativity: (x + 1) + z = x + (1 + z) suffices (scale by y^-1)
+    # associativity: (x + 1) + z = x + (1 + z) suffices (scale by y^-1);
+    # with commutativity (x + 1) + z = z + (x + 1), so both sides read
+    # single-element rows of the sum table
     for x in range(r):
-        left_inner = table[x][0]
         for z in range(r):
-            lhs = h.set_add(left_inner, 1 << z, table)
-            rhs = 0
-            inner = table[0][z]
-            while inner:
-                low = inner & -inner
-                rhs |= table[x][low.bit_length() - 1]
-                inner ^= low
+            lhs = h.set_add(1 << z, table[x][0])
+            rhs = h.set_add(1 << x, table[0][z])
             if lhs != rhs:
                 return _fail(
                     h,

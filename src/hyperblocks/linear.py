@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations_with_replacement, product, repeat
 from typing import NamedTuple
 
@@ -65,23 +66,6 @@ def _coefficient(c) -> int:
     return operator.index(c)
 
 
-class _SumRows(dict):
-    """sums[mask][e] is the set sum mask + e; a row is built on first use
-    as the union of the add table's rows over the members of mask."""
-
-    def __init__(self, add: list[list[int]]):
-        super().__init__()
-        self.add = add
-
-    def __missing__(self, mask: int) -> list[int]:
-        row = [0] * len(self.add)
-        for x, add_x in enumerate(self.add):
-            if mask >> x & 1:
-                row = [a | b for a, b in zip(row, add_x)]
-        self[mask] = row
-        return row
-
-
 class _SolutionSets(dict):
     """solved[c, rest] is the set of values v with zero in c v + rest: the
     image of rest under x -> -x/c, read from negdiv[c].  An entry is built
@@ -109,7 +93,7 @@ class _Tables(NamedTuple):
     prod: list[list[int]]  # (r+1) x (r+1): c * x, zero when either side is zero
     add: list[list[int]]  # the candidate's add_table
     ample: bool
-    sums: _SumRows
+    sums: dict[int, list[int]]  # the candidate's sum table: sums[mask][e] = mask + e
     # r x (r+1): negdiv[c][x] = -x/c, zero when x is zero.  Row c solves the
     # pin c v + x = 0 for v, and negdiv[c2][c1] = -c1/c2 is the factor of
     # the tie c1 x1 + c2 x2 = 0, x2 = -c1/c2 x1.
@@ -121,14 +105,13 @@ class _Tables(NamedTuple):
 
 
 def _tables(h: HyperfieldCandidate) -> _Tables:
-    """The candidate's linear-layer tables, cached on it like add_table."""
+    """The candidate's linear-layer tables, cached on it beside its sum table."""
     cached = getattr(h, "_linear_tables", None)
     if cached is None:
         zero = h.zero
         prod = [h.group.mul_row(c) + [zero] for c in range(zero)] + [[zero] * (zero + 1)]
-        add = h.add_table()
         negdiv = [prod[prod[h.minus_one][h.group.inv(c)]] for c in range(zero)]
-        cached = _Tables(zero, prod, add, is_ample(h), _SumRows(add), negdiv, _SolutionSets(negdiv), {})
+        cached = _Tables(zero, prod, h.add_table(), is_ample(h), h.sums, negdiv, _SolutionSets(negdiv), {})
         h._linear_tables = cached
     return cached
 
@@ -163,12 +146,9 @@ def _planned(t: _Tables, system: LinearSystem) -> list[tuple[tuple[int, ...], tu
 
 
 def set_sum(h: HyperfieldCandidate, masks) -> int:
-    """Multivalued sum of a sequence of element sets; empty sum is {0}."""
-    t = _tables(h)
-    total = 1 << t.zero
-    for m in masks:
-        total = h.set_add(total, m, t.add)
-    return total
+    """Multivalued sum of a sequence of element sets, folded from the
+    left; empty sum is {0}."""
+    return reduce(h.set_add, masks, 1 << h.zero)
 
 
 def _holds(t: _Tables, planned, assignment) -> bool:
@@ -398,23 +378,15 @@ def _solve_pile(t: _Tables, pile: list, values: list) -> None:
     """Exhaust a residue, (row, support) pairs, where every variable meets
     three or more equations, into values: nonzero values are tried first,
     the all-zero assignment is the final resort and always works."""
-    zero, prod, sums = t.zero, t.prod, t.sums
-    terms = [[(v, row[v]) for v in support] for row, support in pile]
-    pile_vars = sorted({v for row_terms in terms for v, _ in row_terms})
+    zero = t.zero
+    pile_vars = sorted({v for _, support in pile for v in support})
     total = (zero + 1) ** len(pile_vars)
     if total > PILE_BUDGET:
         raise CapacityError(f"pile of {len(pile_vars)} variables exceeds the search budget")
-    zero_bit = 1 << zero
     for trial in product(range(zero + 1), repeat=len(pile_vars)):  # zero, index r, comes last
         for v, x in zip(pile_vars, trial):
             values[v] = x
-        for row_terms in terms:
-            term_sum = zero_bit
-            for v, c in row_terms:
-                term_sum = sums[term_sum][prod[c][values[v]]]
-            if not term_sum & zero_bit:
-                break
-        else:
+        if _holds(t, pile, values):
             return
     raise SolverInvariantError("pile admits no assignment, not even zero")
 

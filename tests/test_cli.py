@@ -363,6 +363,15 @@ def test_empty_catalog_is_a_usage_error_for_fetvins(tmp_path, capsys):
     assert "no candidate given" in usage_error(capsys, "fetvins", "--in", str(cat))
 
 
+def test_catalog_of_two_is_a_usage_error_for_fetvins(tmp_path, capsys):
+    # the second record fails associativity; checking only the first would report success
+    cat = tmp_path / "two.jsonl"
+    run(capsys, "verify", "--group", "Z3", "--blocks", "BCD", "--append", str(cat))
+    run(capsys, "verify", "--group", "Z3", "--blocks", "AD", "--append", str(cat))
+    err = usage_error(capsys, "fetvins", "--in", str(cat))
+    assert "fetvins checks one candidate; the catalog holds 2" in err
+
+
 @pytest.mark.parametrize("command", ["show", "verify", "quotient"])
 def test_missing_catalog_is_a_usage_error(tmp_path, capsys, command):
     missing = tmp_path / "missing.jsonl"

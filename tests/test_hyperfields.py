@@ -34,6 +34,7 @@ from hyperblocks import (
     verify_axioms,
 )
 from hyperblocks.hyperfields import bit_rows, row_ints, union_block_bits
+from hyperblocks.linear import set_sum
 from conftest import from_labels
 
 
@@ -115,6 +116,11 @@ def test_set_helpers(z3_named):
     assert h.element_name(3) == "0"
     # translate multiplies every member, fixing zero
     assert h.translate(0b1011, 1) == h.translate(0b0011, 1) | 0b1000
+    # a mask with a bit past the zero element is no set of H, on either side
+    for a, b in [(0b10001, 0b1), (0b1, 0b10001)]:
+        with pytest.raises(IndexError):
+            h.set_add(a, b)
+    assert 0b10001 not in h.sums
 
 
 # -- verification verdicts on the Z3 sequences --------------------------------
@@ -416,3 +422,56 @@ def test_large_sums_cover_nonzero_elements(z3_blocks, z3_named):
 def test_add_table_is_cached(z3_named):
     h = z3_named["BCD"]
     assert h.add_table() is h.add_table()
+
+
+_RELATION_GROUPS = [(g, m1) for g in abelian_groups_up_to(6) for m1 in g.involution_candidates()]
+
+
+@st.composite
+def _relation_and_masks(draw):
+    """A raw relation (not only a union of blocks) on a group of order <= 6
+    and any legal -1, with element masks of which some hold the zero element."""
+    g, m1 = draw(st.sampled_from(_RELATION_GROUPS))
+    r = g.order
+    rows = draw(st.lists(st.integers(0, (1 << r) - 1), min_size=r, max_size=r))
+    mask = st.integers(0, (1 << (r + 1)) - 1)
+    with_zero = mask.map(lambda m: m | 1 << r)
+    masks = draw(st.lists(st.one_of(mask, with_zero), min_size=2, max_size=5))
+    return HyperfieldCandidate(g, m1, tuple(rows)), masks
+
+
+@given(_relation_and_masks())
+def test_sum_table_rows_are_unions_of_element_sums(case):
+    h, masks = case
+    n = h.r + 1
+
+    def oracle(a, b):
+        out = 0
+        for x in range(n):
+            for y in range(n):
+                if a >> x & 1 and b >> y & 1:
+                    out |= h.add(x, y)
+        return out
+
+    for a, b in zip(masks, masks[1:]):
+        assert h.set_add(a, b) == oracle(a, b)
+        for e in range(n):
+            assert h.sums[a][e] == h.set_add(a, 1 << e) == oracle(a, 1 << e)
+    fold = 1 << h.zero
+    for m in masks:
+        fold = oracle(fold, m)
+    assert set_sum(h, masks) == fold
+
+
+def test_verify_reads_only_single_element_rows():
+    # verify_axioms leaves no composite row behind in the candidate's sum table
+    verdicts = set()
+    for g in abelian_groups_up_to(5):
+        for m1 in g.involution_candidates():
+            bp = compute_blocks(g, m1)
+            for mask in range(1 << bp.b):
+                h = build_candidate(bp, mask)
+                verdicts.add(verify_axioms(h).axiom)
+                assert sorted(h.sums) == [1 << e for e in range(h.r + 1)], h
+    # passing candidates and associativity failures were both among them
+    assert {None, "associativity"} <= verdicts
